@@ -12,6 +12,7 @@ completion order.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from itertools import product
 
 from .census import canonical_form, enumerate_shelves
 from .chain import build_complex, homology_groups, preset_homology
-from .errors import CapExceeded
+from .errors import CapExceeded, EmptyList
 from .families import BooleanMultiShelf, PointedMap, construct_family
 from .orbits import left_orbits
 from .tables import BinaryOpTable, Shelf, validate_multishelf
@@ -73,9 +74,11 @@ class ScanReport:
 
 
 def _pool_map(fn, items, jobs):
-    if jobs <= 1:
+    # never more workers than items or CPUs, whatever --jobs asks for
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -252,6 +255,11 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
     """
     if samples > 200:
         raise CapExceeded(f"sample count {samples} exceeds the cap 200")
+    if samples < 1 or bound < 1:
+        raise EmptyList(
+            f"the probe needs samples >= 1 and bound >= 1, "
+            f"got samples {samples} and bound {bound}"
+        )
     nops = len(ms.ops)
     rng = random.Random(seed)
     vectors = []

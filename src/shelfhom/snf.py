@@ -1,18 +1,20 @@
 """Smith normal form of sparse integer matrices, exactly over Z.
 
 The boundary matrices this package produces are large but very sparse with
-almost all entries +-1, so the computation is staged:
+almost all entries +-1, so the computation has two stages:
 
 1. compress: drop zero rows/columns and duplicates up to sign (unimodular
    row/column operations make such lines zero, so rank and invariant factors
    are unchanged);
-2. peel: repeatedly eliminate unit entries that are alone in their row or
-   alone in their column -- those pivots cause no fill-in at all and account
-   for the bulk of every boundary matrix;
-3. general elimination on the small remainder: fraction-free row/column
-   reduction choosing the pivot of minimal absolute value, with divisibility
-   of the whole remaining submatrix enforced before a pivot is committed, so
-   the committed pivots form the invariant-factor chain directly.
+2. one elimination loop.  While a unit entry remains, it pivots on the unit
+   of least Markowitz cost (row length - 1) * (column length - 1), which
+   bounds the fill-in the pivot can cause; a unit alone in its row or column
+   costs 0 and causes none.  A unit divides everything, so it can be
+   committed in any order without breaking the invariant-factor chain.  Once
+   no unit is left, the pivot of least absolute value is reduced instead,
+   with divisibility of the whole remaining submatrix enforced before it is
+   committed, so the committed pivots form the invariant-factor chain
+   directly.  Units that this creates go back to the unit candidates.
 
 Only the factors are produced; the unimodular transforms are never needed
 here.  All arithmetic is on Python ints, so nothing overflows.
@@ -20,8 +22,8 @@ here.  All arithmetic is on Python ints, so nothing overflows.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .intmat import SparseIntMatrix
 
@@ -90,9 +92,7 @@ def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-    ones = _peel(rows, cols)
-    pivots = _eliminate(rows, cols)
-    return SmithForm((1,) * ones + tuple(pivots))
+    return SmithForm(tuple(_eliminate(rows, cols)))
 
 
 def _sign_normalized(items):
@@ -137,118 +137,86 @@ def _compress(rows):
             return
 
 
-def _peel(rows, cols):
-    """Eliminate unit pivots alone in their row or column (no fill-in)."""
-    ones = 0
-    rowq = deque(i for i in sorted(rows) if len(rows[i]) == 1)
-    colq = deque(j for j in sorted(cols) if len(cols[j]) == 1)
-    while rowq or colq:
-        if rowq:
-            i = rowq.popleft()
-            r = rows.get(i)
-            if r is None or len(r) != 1:
-                continue
-            j, v = next(iter(r.items()))
-            if abs(v) != 1:
-                continue
-            # clearing the column touches other rows only at column j
-            for k in cols[j]:
-                if k == i:
-                    continue
-                rk = rows[k]
-                del rk[j]
-                if not rk:
-                    del rows[k]
-                elif len(rk) == 1:
-                    rowq.append(k)
-            del cols[j]
-            del rows[i]
-            ones += 1
-            continue
-        j = colq.popleft()
-        members = cols.get(j)
-        if members is None or len(members) != 1:
-            continue
-        (i,) = members
-        v = rows[i][j]
-        if abs(v) != 1:
-            continue
-        # clearing the row touches other columns only at row i
-        for k in rows[i]:
-            if k == j:
-                continue
-            ck = cols[k]
-            ck.discard(i)
-            if not ck:
-                del cols[k]
-            elif len(ck) == 1:
-                colq.append(k)
-        del rows[i]
-        del cols[j]
-        ones += 1
-        # deleting the row may have created singleton rows? no: only columns
-    return ones
-
-
 def _row_axpy(rows, cols, dst, src, c, units):
-    """rows[dst] += c * rows[src]; drops dst entirely if it becomes zero.
+    """rows[dst] += c * src for a row dict src; drops dst if it becomes zero.
 
-    Entries that become +-1 are queued as future pivot candidates."""
+    Entries that become +-1 are pushed onto the unit heap."""
     rdst = rows[dst]
-    for j, v in rows[src].items():
+    fresh = []
+    for j, v in src.items():
         old = rdst.get(j)
         nv = (old or 0) + c * v
         if nv:
             if old is None:
                 cols[j].add(dst)
             rdst[j] = nv
-            if nv == 1 or nv == -1:
-                units.append((dst, j))
+            if (nv == 1 or nv == -1) and old != 1 and old != -1:
+                fresh.append(j)
         elif old is not None:
             del rdst[j]
             cols[j].discard(dst)
     if not rdst:
         del rows[dst]
+        return
+    n = len(rdst) - 1
+    for j in fresh:
+        heappush(units, (n * (len(cols[j]) - 1), dst, j))
+
+
+def _next_unit(rows, cols, units):
+    """Pop the unit of least Markowitz cost, or None when no unit is left.
+
+    Heap entries are lazy: an entry whose row is gone or whose value is no
+    longer +-1 is dropped, and one whose cost has grown is pushed back."""
+    while units:
+        cost, i, j = heappop(units)
+        r = rows.get(i)
+        if r is None:
+            continue
+        v = r.get(j)
+        if v != 1 and v != -1:
+            continue
+        now = (len(r) - 1) * (len(cols[j]) - 1)
+        if now > cost:
+            heappush(units, (now, i, j))
+            continue
+        return i, j
+    return None
 
 
 def _eliminate(rows, cols):
-    """Fraction-free elimination preferring unit pivots; returns the pivots.
-
-    A pivot of +-1 divides everything, so any one of them can be committed
-    next without breaking the invariant-factor chain; they are pulled from a
-    queue instead of a full scan.  Once no units remain, the pivot of
-    minimal absolute value (ties: lowest row, then column) is located by
-    scanning, and divisibility of the whole remaining submatrix is enforced
-    before it is committed.
-    """
+    """Eliminate the compressed matrix completely; returns the pivots."""
     pivots = []
-    units = deque(sorted(
-        (i, j)
+    units = [
+        ((len(r) - 1) * (len(cols[j]) - 1), i, j)
         for i, r in rows.items()
         for j, v in r.items()
         if v == 1 or v == -1
-    ))
+    ]
+    heapify(units)
     while rows:
-        pi = None
-        while units:
-            i, j = units.popleft()
-            r = rows.get(i)
-            if r is None:
-                continue
-            v = r.get(j)
-            if v == 1 or v == -1:
-                pi, pj = i, j
-                break
-        if pi is None:
-            best = None
-            for i, r in rows.items():
-                for j, v in r.items():
-                    cand = (v if v > 0 else -v, i, j)
-                    if best is None or cand < best:
-                        best = cand
-            if best is None:
-                break
-            _, pi, pj = best
+        unit = _next_unit(rows, cols, units)
+        if unit is not None:
+            # clear column pj with row operations; then column pj is the
+            # pivot alone, and the column operations that clear row pi
+            # touch nothing else
+            pi, pj = unit
+            rp = rows.pop(pi)
+            pv = rp.pop(pj)
+            for j in rp:
+                cols[j].discard(pi)
+            for k in cols.pop(pj):
+                if k != pi:
+                    _row_axpy(rows, cols, k, rp, -rows[k].pop(pj) * pv, units)
+            pivots.append(1)
+            continue
+        best = None
+        for i, r in rows.items():
+            for j, v in r.items():
+                cand = (v if v > 0 else -v, i, j)
+                if best is None or cand < best:
+                    best = cand
+        _, pi, pj = best
         while True:
             rp = rows[pi]
             pv = rp[pj]
@@ -263,7 +231,7 @@ def _eliminate(rows, cols):
                     continue
                 q = rows[k][pj] // pv
                 if q:
-                    _row_axpy(rows, cols, k, pi, -q, units)
+                    _row_axpy(rows, cols, k, rp, -q, units)
                 res = rows.get(k, {}).get(pj, 0)
                 if res and (smallest is None or (res, k) < smallest):
                     smallest = (res, k)
@@ -272,7 +240,6 @@ def _eliminate(rows, cols):
                 continue
             # row pass: column pj is now the pivot alone, so column
             # operations only touch row pi
-            rp = rows[pi]
             smallest = None
             for j in [j for j in rp if j != pj]:
                 q = rp[j] // pv
@@ -281,12 +248,11 @@ def _eliminate(rows, cols):
                     if nb:
                         rp[j] = nb
                         if nb == 1:
-                            units.append((pi, j))
+                            # 0 is a lower bound; _next_unit reprices it
+                            heappush(units, (0, pi, j))
                     else:
                         del rp[j]
                         cols[j].discard(pi)
-                        if not cols[j]:
-                            del cols[j]
                 nb = rp.get(j, 0)
                 if nb and (smallest is None or (nb, j) < smallest):
                     smallest = (nb, j)
@@ -302,7 +268,7 @@ def _eliminate(rows, cols):
                         offender = i2
                         break
                 if offender is not None:
-                    _row_axpy(rows, cols, pi, offender, 1, units)
+                    _row_axpy(rows, cols, pi, rows[offender], 1, units)
                     continue
             break
         pivots.append(rows[pi][pj])

@@ -236,6 +236,17 @@ def test_quandle_known_dihedral_torsion():
     ]
 
 
+def test_quandle_dihedral3_matches_nosaka_through_degree_7():
+    # H^Q_{d+1}(R_3) is Z for d = 0 and (Z/3)^f for d >= 1, with
+    # f_{n} = f_{n-1} + f_{n-3}, f_1 = f_2 = 0, f_3 = 1 (Nosaka 2013)
+    f = {1: 0, 2: 0, 3: 1}
+    for m in range(4, 9):
+        f[m] = f[m - 1] + f[m - 3]
+    want = [(1, ())] + [(0, (3,) * f[d + 1]) for d in range(1, 8)]
+    groups = preset_homology(DIHEDRAL3, "quandle", 7)
+    assert [(g.rank, g.torsion) for g in groups] == want
+
+
 def _random_multishelves(rng, labelled_by_size, count):
     """Validated multi-shelves over small carriers with random coefficients."""
     from shelfhom.orbits import is_spindle

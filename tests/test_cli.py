@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from shelfhom.cli import main
 
 PAPER_DOC = {
@@ -186,6 +188,18 @@ def test_scan_hyperplane_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert "generic_ranks" in doc["summary"]
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+def test_scan_hyperplane_rejects_zero_samples_or_bound(tmp_path, capsys, flag):
+    path = write(tmp_path, BOOLEAN3_DOC)
+    code, out, err = run(
+        capsys, "scan", "--which", "hyperplane", "--input", path,
+        flag, "0", "--maxdeg", "1", "--no-timestamp",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "EmptyList"
 
 
 def test_torsion_hunt_command(tmp_path, capsys):

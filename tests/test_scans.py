@@ -1,5 +1,6 @@
 import pytest
 
+from shelfhom import scans
 from shelfhom.errors import CapExceeded
 from shelfhom.families import BooleanMultiShelf, construct_family
 from shelfhom.scans import (
@@ -95,6 +96,42 @@ def test_hyperplane_sample_cap():
     ms = validate_multishelf((identity_op(2),))
     with pytest.raises(CapExceeded):
         scan_hyperplane(ms, samples=500)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so no worker is ever started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, items, cpus, workers", [
+    (10 ** 6, 5, 64, 5),      # no more workers than items
+    (10 ** 6, 720, 2, 2),     # no more workers than CPUs
+    (3, 720, 64, 3),          # --jobs itself when it is the least
+    (10 ** 6, 720, None, None),  # unknown CPU count: serial
+    (4, 1, 64, None),         # one item: serial
+    (1, 720, 64, None),       # --jobs 1: serial
+])
+def test_pool_map_clamps_workers(monkeypatch, jobs, items, cpus, workers):
+    _RecordingPool.made = []
+    monkeypatch.setattr(scans, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: cpus)
+    got = scans._pool_map(abs, list(range(-items, 0)), jobs)
+    assert got == list(range(items, 0, -1))
+    assert _RecordingPool.made == ([] if workers is None else [workers])
 
 
 def test_torsion_hunt_small_sizes_empty():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from shelfhom.chain import boundary_matrix
 from shelfhom.intmat import SparseIntMatrix, identity_matrix
 from shelfhom.snf import HomologyGroup, SmithForm, smith_normal_form
+from shelfhom.tables import BinaryOpTable, MultiShelf, identity_op
 
 
 def snf_dense(rows):
@@ -64,6 +66,18 @@ def test_random_matrices_against_dense_oracle():
             for _ in range(nrows)
         ]
         assert snf_dense(rows).factors == oracles.dense_smith_factors(rows), rows
+    # mostly +-1 entries in competing rows and columns: many units of equal
+    # Markowitz cost, and many heap entries gone stale by the time they pop
+    for _ in range(120):
+        nrows = rng.randint(1, 10)
+        ncols = rng.randint(1, 10)
+        density = rng.choice((0.3, 0.6, 0.9))
+        rows = [
+            [rng.choice((1, -1, 1, -1, 2, -3)) if rng.random() < density else 0
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        assert snf_dense(rows).factors == oracles.dense_smith_factors(rows), rows
 
 
 def test_minor_gcd_products():
@@ -99,6 +113,69 @@ def test_rank_bounded_and_transpose_invariant(data):
     sf = smith_normal_form(m)
     assert sf.rank <= min(nrows, ncols)
     assert smith_normal_form(m.transpose()).factors == sf.factors
+
+
+def _unit_heavy(data, nrows, ncols):
+    return [
+        [data.draw(st.sampled_from((0, 0, 1, -1, 1, -1, 2)))
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def _scramble(rows, ops):
+    """Apply unimodular row and column operations to a dense matrix."""
+    a = [list(r) for r in rows]
+    for axis, kind, s, t, c in ops:
+        if axis == "col":
+            a = [list(r) for r in zip(*a)]
+        s, t = s % len(a), t % len(a)
+        if kind == "add" and s != t:
+            a[t] = [x + c * y for x, y in zip(a[t], a[s])]
+        elif kind == "swap":
+            a[s], a[t] = a[t], a[s]
+        elif kind == "negate":
+            a[s] = [-x for x in a[s]]
+        if axis == "col":
+            a = [list(r) for r in zip(*a)]
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_factors_invariant_under_unimodular_operations(data):
+    nrows = data.draw(st.integers(1, 9))
+    ncols = data.draw(st.integers(1, 9))
+    rows = _unit_heavy(data, nrows, ncols)
+    ops = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(("row", "col")),
+            st.sampled_from(("add", "swap", "negate")),
+            st.integers(0, 8),
+            st.integers(0, 8),
+            st.integers(-2, 2),
+        ),
+        max_size=30,
+    ))
+    factors = snf_dense(rows).factors
+    assert snf_dense(_scramble(rows, ops)).factors == factors
+    assert factors == oracles.dense_smith_factors(rows)
+
+
+def _dihedral_rack_boundary(n, degree):
+    table = BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n)
+    return boundary_matrix(
+        MultiShelf((table, identity_op(n))), (1, -1), degree, False
+    )
+
+
+@pytest.mark.parametrize("n, degree, rank, torsion", [
+    (7, 3, 300, (7,)),     # the 343 x 2401 top boundary of rack-r7
+    (5, 4, 520, (5, 5)),   # the 625 x 3125 top boundary of rack-r5
+])
+def test_bench_size_rack_boundaries(n, degree, rank, torsion):
+    sf = smith_normal_form(_dihedral_rack_boundary(n, degree))
+    assert (sf.rank, sf.torsion()) == (rank, torsion)
 
 
 def test_triplet_csv_round_trip():
