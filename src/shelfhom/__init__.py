@@ -10,6 +10,7 @@ from .chain import (
     homology,
     homology_groups,
     index_tuple,
+    preset_complex,
     preset_homology,
     quandle_quotient_complex,
     simplicial_projection_map,

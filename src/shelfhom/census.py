@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import isqrt
 
-from .errors import PracticalSizeLimit
+from .errors import OutOfRange, PracticalSizeLimit
 from .tables import BinaryOpTable
 
 CANONICAL_SIZE_LIMIT = 8
@@ -73,10 +73,6 @@ def canonical_form(table: BinaryOpTable) -> IsoClassKey:
     return IsoClassKey(best)
 
 
-def are_isomorphic(a: BinaryOpTable, b: BinaryOpTable) -> bool:
-    return a.size == b.size and canonical_form(a) == canonical_form(b)
-
-
 def enumerate_shelf_tables(n: int, limit: int = ENUMERATION_SIZE_LIMIT):
     """All labelled self-distributive tables on {0..n-1}, in lex order.
 
@@ -85,6 +81,8 @@ def enumerate_shelf_tables(n: int, limit: int = ENUMERATION_SIZE_LIMIT):
     instances blocked on a not-yet-filled row are carried forward and
     re-checked as the table grows.
     """
+    if n < 0:
+        raise OutOfRange(f"carrier size {n} < 0")
     if n > limit:
         raise PracticalSizeLimit(
             f"enumeration of size {n} exceeds the guard {limit}"

@@ -70,7 +70,7 @@ def index_tuple(index: int, length: int, size: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _as_multishelf(structure) -> MultiShelf:
+def as_multishelf(structure) -> MultiShelf:
     if isinstance(structure, MultiShelf):
         return structure
     if isinstance(structure, Shelf):
@@ -85,7 +85,7 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
     the augmentation row when ``augmented`` and the empty 0 x n matrix
     otherwise.
     """
-    ms = _as_multishelf(ms)
+    ms = as_multishelf(ms)
     n = ms.size
     coefficients = tuple(coefficients)
     if len(coefficients) != len(ms.ops):
@@ -175,10 +175,17 @@ def check_memory_cap(size, maxdeg, cap):
         )
 
 
+def _check_dd(boundaries, label=""):
+    """Raise DDNotZero unless every d_{d-1} o d_d vanishes."""
+    for d in range(1, len(boundaries)):
+        if not boundaries[d - 1].matmul(boundaries[d]).is_zero():
+            raise DDNotZero(f"{label}d_{d - 1} o d_{d} != 0")
+
+
 def build_complex(ms, coefficients, maxdeg: int, augmented: bool = True,
                   cap: int = DEFAULT_MEMORY_CAP) -> ChainComplex:
     """Build d_0..d_maxdeg and verify d o d = 0 before returning."""
-    ms = _as_multishelf(ms)
+    ms = as_multishelf(ms)
     if maxdeg < 0:
         raise DegreeNegative(f"maxdeg {maxdeg} < 0")
     check_memory_cap(ms.size, maxdeg, cap)
@@ -186,9 +193,7 @@ def build_complex(ms, coefficients, maxdeg: int, augmented: bool = True,
         boundary_matrix(ms, coefficients, d, augmented)
         for d in range(maxdeg + 1)
     ]
-    for d in range(1, maxdeg + 1):
-        if not boundaries[d - 1].matmul(boundaries[d]).is_zero():
-            raise DDNotZero(f"d_{d - 1} o d_{d} != 0")
+    _check_dd(boundaries)
     n = ms.size
     return ChainComplex(
         size=n,
@@ -221,29 +226,44 @@ def homology_groups(cx: ChainComplex, through_degree: int) -> list[HomologyGroup
     return [homology(cx, d) for d in range(through_degree + 1)]
 
 
-def preset_homology(shelf: Shelf, kind: str, maxdeg: int,
+# kind -> (coefficients, augmented by default); "multi" differentiates with
+# the structure's own operations and takes its coefficients from the caller.
+PRESETS = {"shelf": ((1,), True), "rack": ((1, -1), False),
+           "quandle": ((1, -1), False), "multi": (None, True)}
+
+
+def preset_complex(structure, kind: str, maxdeg: int, coefficients=None,
+                   augmented: bool | None = None,
+                   cap: int = DEFAULT_MEMORY_CAP) -> ChainComplex:
+    """The complex of a kind in PRESETS, built through maxdeg + 1 for H_0..H_maxdeg.
+
+    rack differentiates with (op, identity); quandle is the rack complex
+    modulo degenerate chains (spindles only).  ``coefficients`` and
+    ``augmented`` override the kind's defaults.
+    """
+    if kind not in PRESETS:
+        raise ValueError(f"unknown preset kind {kind!r}")
+    if maxdeg < 0:
+        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
+    preset, default_augmented = PRESETS[kind]
+    coefficients = preset if coefficients is None else coefficients
+    if coefficients is None:
+        raise SizeMismatch(f"kind={kind} needs one coefficient per operation")
+    augmented = default_augmented if augmented is None else augmented
+    if kind == "quandle":
+        return quandle_quotient_complex(
+            structure, coefficients, maxdeg + 1, augmented, cap
+        )
+    if kind == "rack":
+        structure = MultiShelf((structure.table, identity_op(structure.size)))
+    return build_complex(structure, coefficients, maxdeg + 1, augmented, cap)
+
+
+def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
                     augmented: bool | None = None,
                     cap: int = DEFAULT_MEMORY_CAP) -> list[HomologyGroup]:
-    """Homology in degrees 0..maxdeg for the three standard presets.
-
-    shelf:   single operation, coefficients (1,), augmented by default;
-    rack:    operations (op, identity), coefficients (1, -1), unaugmented;
-    quandle: the rack differential on the quotient by degenerate chains
-             (spindles only), unaugmented by default.
-    """
-    n = shelf.size
-    if kind == "shelf":
-        aug = True if augmented is None else augmented
-        cx = build_complex(shelf, (1,), maxdeg + 1, aug, cap)
-    elif kind == "rack":
-        aug = False if augmented is None else augmented
-        ms = MultiShelf((shelf.table, identity_op(n)))
-        cx = build_complex(ms, (1, -1), maxdeg + 1, aug, cap)
-    elif kind == "quandle":
-        aug = False if augmented is None else augmented
-        cx = quandle_quotient_complex(shelf, (1, -1), maxdeg + 1, aug, cap)
-    else:
-        raise ValueError(f"unknown preset kind {kind!r}")
+    """H_0..H_maxdeg of :func:`preset_complex`."""
+    cx = preset_complex(structure, kind, maxdeg, coefficients, augmented, cap)
     return homology_groups(cx, maxdeg)
 
 
@@ -285,16 +305,9 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
         {tup: i for i, tup in enumerate(bs)} for bs in bases
     ]
 
-    boundaries = []
-    for d in range(maxdeg + 1):
-        if d == 0:
-            if augmented:
-                boundaries.append(
-                    SparseIntMatrix._raw(1, n, {(0, j): 1 for j in range(n)})
-                )
-            else:
-                boundaries.append(SparseIntMatrix(0, n, {}))
-            continue
+    # degree 0 has no degenerate tuples, so d_0 is the full one
+    boundaries = [full[0]]
+    for d in range(1, maxdeg + 1):
         cols_of: dict[int, list] = {}
         for (i, j), v in full[d].data.items():
             cols_of.setdefault(j, []).append((i, v))
@@ -319,9 +332,7 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
         boundaries.append(
             SparseIntMatrix._raw(len(bases[d - 1]), len(bases[d]), data)
         )
-    for d in range(1, maxdeg + 1):
-        if not boundaries[d - 1].matmul(boundaries[d]).is_zero():
-            raise DDNotZero(f"quotient d_{d - 1} o d_{d} != 0")
+    _check_dd(boundaries, "quotient ")
     return ChainComplex(
         size=n,
         ops=ms.ops,

@@ -4,8 +4,8 @@ Subcommands: validate, orbits, homology, simplicial, enumerate, scan,
 torsion-hunt.  Reports are JSON with sorted keys; pass --no-timestamp for
 byte-identical reruns of the same computation.
 
-Exit codes: 0 success, 2 input error, 3 resource cap, 4 internal assertion
-(the d o d != 0 class, which indicates a bug rather than bad input).
+Exit codes: 0 success, 2 input error (errors.InputError), 3 resource cap
+(errors.ResourceCap), 4 internal assertion (any other structured error).
 """
 
 from __future__ import annotations
@@ -17,40 +17,12 @@ import sys
 
 from . import errors
 from .census import canonical_form, enumerate_shelves
-from .chain import (
-    DEFAULT_MEMORY_CAP,
-    build_complex,
-    homology_groups,
-    quandle_quotient_complex,
-)
+from .chain import DEFAULT_MEMORY_CAP, as_multishelf, homology_groups, preset_complex
 from .io import dump_report, finish_report, load_structure, structure_to_doc
 from .orbits import classify, left_orbits, orbit_quotient
 from .scans import scan_boolean, scan_example4, scan_growth, scan_hyperplane, torsion_hunt
 from .simplicial import build_shelf_complex, components, simplicial_homology
-from .tables import MultiShelf, Shelf, identity_op
-
-INPUT_ERRORS = (
-    errors.ParseError,
-    errors.SizeMismatch,
-    errors.OutOfRange,
-    errors.EmptyList,
-    errors.DistributivityViolation,
-    errors.MutualDistributivityViolation,
-    errors.SpecPreconditionFailed,
-    errors.RetractionNotIdentityOnA,
-    errors.NotASpindle,
-    errors.NotInvertible,
-    errors.DegreeNegative,
-    errors.DegreeOutOfRange,
-    errors.DegenerateNotSubcomplex,
-    errors.ChainMapViolation,
-)
-CAP_ERRORS = (
-    errors.PracticalSizeLimit,
-    errors.MemoryCapExceeded,
-    errors.CapExceeded,
-    errors.BoundExceeded,
-)
+from .tables import MultiShelf, Shelf
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,23 +92,32 @@ def _need_input(args):
     return load_structure(args.input)
 
 
-def _need_shelf(args) -> Shelf:
+def _need_shelf(args, who="this command") -> Shelf:
     structure = _need_input(args)
     if isinstance(structure, MultiShelf):
         if len(structure.ops) != 1:
-            raise errors.ParseError(
-                "this command needs a single-operation document"
-            )
+            raise errors.ParseError(f"{who} needs a single-operation document")
         structure = Shelf(structure.ops[0])
     return structure
 
 
-def _augmented_flag(args, default: bool) -> bool:
-    if args.augmented == "on":
-        return True
-    if args.augmented == "off":
-        return False
-    return default
+def _augmented_flag(args, default=None):
+    return {"on": True, "off": False}.get(args.augmented, default)
+
+
+def _flags_doc(shelf) -> dict:
+    flags = classify(shelf)
+    return {
+        "spindle": flags.is_spindle,
+        "rack": flags.is_rack,
+        "left_connected": flags.is_left_connected,
+        "invertible": flags.is_invertible,
+    }
+
+
+def _groups_doc(groups) -> list:
+    return [{"degree": g.degree, "rank": g.rank, "torsion": list(g.torsion)}
+            for g in groups]
 
 
 def _structure_key(structure) -> list:
@@ -160,13 +141,7 @@ def cmd_validate(args):
         "operations": len(doc["ops"]),
     }
     if isinstance(structure, Shelf):
-        flags = classify(structure)
-        payload["flags"] = {
-            "spindle": flags.is_spindle,
-            "rack": flags.is_rack,
-            "left_connected": flags.is_left_connected,
-            "invertible": flags.is_invertible,
-        }
+        payload["flags"] = _flags_doc(structure)
         payload["orbits"] = left_orbits(structure).count
     return payload
 
@@ -198,61 +173,36 @@ def _parse_coefficients(text, count):
 
 
 def cmd_homology(args):
-    structure = _need_input(args)
     maxdeg = 3 if args.maxdeg is None else args.maxdeg
+    coeffs = None
     if args.kind == "multi":
-        if isinstance(structure, Shelf):
-            structure = MultiShelf((structure.table,))
+        structure = as_multishelf(_need_input(args))
         if not args.coefficients:
             raise errors.ParseError("kind=multi needs --coefficients")
         coeffs = _parse_coefficients(args.coefficients, len(structure.ops))
-        augmented = _augmented_flag(args, True)
-        cx = build_complex(structure, coeffs, maxdeg + 1, augmented, cap=args.cap)
-        groups = homology_groups(cx, maxdeg)
-        kind_label = "multi"
+    elif args.coefficients:
+        raise errors.ParseError("--coefficients only applies to kind=multi")
     else:
-        if args.coefficients:
-            raise errors.ParseError(
-                "--coefficients only applies to kind=multi"
-            )
-        shelf = structure
-        if isinstance(shelf, MultiShelf):
-            if len(shelf.ops) != 1:
-                raise errors.ParseError(
-                    f"kind={args.kind} needs a single-operation document"
-                )
-            shelf = Shelf(shelf.ops[0])
-        augmented = _augmented_flag(args, args.kind == "shelf")
-        if args.kind == "shelf":
-            coeffs = (1,)
-            cx = build_complex(shelf, coeffs, maxdeg + 1, augmented, cap=args.cap)
-        elif args.kind == "rack":
-            coeffs = (1, -1)
-            ms = MultiShelf((shelf.table, identity_op(shelf.size)))
-            cx = build_complex(ms, coeffs, maxdeg + 1, augmented, cap=args.cap)
-        else:
-            coeffs = (1, -1)
-            cx = quandle_quotient_complex(
-                shelf, coeffs, maxdeg + 1, augmented, cap=args.cap
-            )
-        groups = homology_groups(cx, maxdeg)
-        kind_label = args.kind
-        structure = shelf
+        structure = _need_shelf(args, f"kind={args.kind}")
+    cx = preset_complex(structure, args.kind, maxdeg, coeffs,
+                        _augmented_flag(args), args.cap)
     if args.export_matrices:
-        os.makedirs(args.export_matrices, exist_ok=True)
-        for d in range(cx.maxdeg + 1):
-            path = os.path.join(args.export_matrices, f"d{d}.csv")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(cx.boundary(d).to_csv_text())
+        try:
+            os.makedirs(args.export_matrices, exist_ok=True)
+            for d in range(cx.maxdeg + 1):
+                path = os.path.join(args.export_matrices, f"d{d}.csv")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(cx.boundary(d).to_csv_text())
+        except OSError as exc:
+            raise errors.ParseError(
+                f"cannot write {args.export_matrices}: {exc}"
+            ) from exc
     return {
         "shelf": _structure_key(structure),
-        "kind": kind_label,
-        "coefficients": list(coeffs),
-        "augmented": augmented,
-        "groups": [
-            {"degree": g.degree, "rank": g.rank, "torsion": list(g.torsion)}
-            for g in groups
-        ],
+        "kind": args.kind,
+        "coefficients": list(cx.coefficients),
+        "augmented": cx.augmented,
+        "groups": _groups_doc(homology_groups(cx, maxdeg)),
     }
 
 
@@ -273,10 +223,7 @@ def cmd_simplicial(args):
         "maximal_simplices": [list(s) for s in cx.maximal_simplices()],
         "components": count,
         "component_labels": list(labels),
-        "groups": [
-            {"degree": g.degree, "rank": g.rank, "torsion": list(g.torsion)}
-            for g in groups
-        ],
+        "groups": _groups_doc(groups),
     }
 
 
@@ -285,17 +232,11 @@ def cmd_enumerate(args):
     classes = []
     for key in keys:
         shelf = Shelf(key.table())
-        flags = classify(shelf)
         classes.append({
             "key": list(key.flat),
             "table": [list(row) for row in key.table().entries],
             "orbits": left_orbits(shelf).count,
-            "flags": {
-                "spindle": flags.is_spindle,
-                "rack": flags.is_rack,
-                "left_connected": flags.is_left_connected,
-                "invertible": flags.is_invertible,
-            },
+            "flags": _flags_doc(shelf),
         })
     return {"size": args.size, "count": len(classes), "classes": classes}
 
@@ -315,11 +256,8 @@ def cmd_scan(args):
             augmented=_augmented_flag(args, True), jobs=args.jobs,
         )
     else:
-        structure = _need_input(args)
-        if isinstance(structure, Shelf):
-            structure = MultiShelf((structure.table,))
         report = scan_hyperplane(
-            structure, samples=args.samples, bound=args.bound,
+            as_multishelf(_need_input(args)), samples=args.samples, bound=args.bound,
             maxdeg=2 if maxdeg is None else maxdeg, seed=args.seed,
             augmented=_augmented_flag(args, True), jobs=args.jobs,
         )
@@ -348,19 +286,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = COMMANDS[args.command](args)
-    except INPUT_ERRORS as exc:
+        report = finish_report(
+            {"command": args.command, **payload}, no_timestamp=args.no_timestamp
+        )
+        text = dump_report(report, args.output)
+    except errors.REPORTED as exc:
         _print_error(exc)
-        return 2
-    except CAP_ERRORS as exc:
-        _print_error(exc)
-        return 3
-    except (errors.DDNotZero, AssertionError) as exc:
-        _print_error(exc)
-        return 4
-    report = finish_report(
-        {"command": args.command, **payload}, no_timestamp=args.no_timestamp
-    )
-    text = dump_report(report, args.output)
+        return errors.exit_code(exc)
     if not args.output:
         sys.stdout.write(text)
     return 0

@@ -1,30 +1,48 @@
 """Structured error types shared across the package.
 
-Every error the library raises deliberately derives from ShelfHomError so
-callers (and the CLI exit-code mapping) can tell input problems, resource
-caps, and internal assertion failures apart.
+Every error the library raises deliberately derives from ShelfHomError.  A
+new class must derive from one of its two category bases, InputError (CLI
+exit 2) or ResourceCap (exit 3); only an internal assertion failure, which
+signals a bug, derives from ShelfHomError directly (exit 4).
 """
 
 
 class ShelfHomError(Exception):
     """Base class for all structured errors raised by shelfhom."""
+    exit_code = 4
 
 
-# --- input / law violations -------------------------------------------------
+class InputError(ShelfHomError):
+    """Malformed input, or a law the computation needs fails."""
+    exit_code = 2
 
-class SizeMismatch(ShelfHomError):
+
+class ResourceCap(ShelfHomError):
+    """A configured size or resource guard refused the computation."""
+    exit_code = 3
+
+
+# What the CLI reports as one JSON line and exit_code(), not a traceback.
+REPORTED = (ShelfHomError, AssertionError)
+
+
+def exit_code(exc: BaseException) -> int:
+    return getattr(exc, "exit_code", ShelfHomError.exit_code)
+
+
+class SizeMismatch(InputError):
     """Tables that should share one carrier size do not."""
 
 
-class OutOfRange(ShelfHomError):
+class OutOfRange(InputError):
     """An element or index lies outside the carrier / basis range."""
 
 
-class EmptyList(ShelfHomError):
+class EmptyList(InputError):
     """An operation that needs at least one item got none."""
 
 
-class DistributivityViolation(ShelfHomError):
+class DistributivityViolation(InputError):
     """Self-distributivity fails; carries the first violating triple."""
 
     def __init__(self, x, y, z, lhs, rhs):
@@ -35,7 +53,7 @@ class DistributivityViolation(ShelfHomError):
         )
 
 
-class MutualDistributivityViolation(ShelfHomError):
+class MutualDistributivityViolation(InputError):
     """Mutual distributivity fails for the operation pair (k, l)."""
 
     def __init__(self, k, l, x, y, z, lhs, rhs):
@@ -48,65 +66,61 @@ class MutualDistributivityViolation(ShelfHomError):
         )
 
 
-class SpecPreconditionFailed(ShelfHomError):
+class SpecPreconditionFailed(InputError):
     """A family constructor's eager precondition does not hold."""
 
 
-class RetractionNotIdentityOnA(ShelfHomError):
+class RetractionNotIdentityOnA(InputError):
     """A retraction map fails to restrict to the identity on the base."""
 
 
-class NotASpindle(ShelfHomError):
+class NotASpindle(InputError):
     """Operation requires x*x = x for all x."""
 
 
-class NotInvertible(ShelfHomError):
+class NotInvertible(InputError):
     """Some right translation x -> x*y is not a bijection."""
 
 
-class ParseError(ShelfHomError):
+class ParseError(InputError):
     """Malformed input document."""
 
 
-class DegreeNegative(ShelfHomError):
+class DegreeNegative(InputError):
     """Chain degree must be nonnegative."""
 
 
-class DegreeOutOfRange(ShelfHomError):
+class DegreeOutOfRange(InputError):
     """Requested degree is not covered by the built complex."""
 
 
-class ChainMapViolation(ShelfHomError):
+class ChainMapViolation(InputError):
     """Chain-map precondition pairing is wrong, or commuting fails."""
 
 
-class DegenerateNotSubcomplex(ShelfHomError):
+class DegenerateNotSubcomplex(InputError):
     """The requested differential does not preserve degenerate chains."""
 
 
-# --- resource caps ------------------------------------------------------------
-
-class PracticalSizeLimit(ShelfHomError):
+class PracticalSizeLimit(ResourceCap):
     """Carrier size beyond the factorial/backtracking guard."""
 
 
-class MemoryCapExceeded(ShelfHomError):
+class MemoryCapExceeded(ResourceCap):
     """A chain complex would exceed the configured basis-element cap."""
 
 
-class CapExceeded(ShelfHomError):
+class CapExceeded(ResourceCap):
     """A scan or complex construction hit its configured cap."""
 
 
-class BoundExceeded(ShelfHomError):
+class BoundExceeded(ResourceCap):
     """Closure grew past max_ops; carries the partial result."""
 
     def __init__(self, message, partial):
         self.partial = partial
         super().__init__(message)
 
-
-# --- internal assertions ------------------------------------------------------
 
 class DDNotZero(ShelfHomError):
     """d o d != 0 while building a complex; signals an implementation bug."""

@@ -99,6 +99,9 @@ def finish_report(payload: dict, no_timestamp: bool = False) -> dict:
 def dump_report(report: dict, path=None) -> str:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
     return text

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .census import canonical_form, enumerate_shelves
-from .chain import build_complex, homology_groups, preset_homology
+from .chain import preset_homology
 from .errors import CapExceeded, EmptyList
 from .families import BooleanMultiShelf, PointedMap, construct_family
 from .orbits import left_orbits
@@ -82,11 +82,14 @@ def _pool_map(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _shelf_ranks(args):
-    flat, size, maxdeg = args
-    table = BinaryOpTable(tuple(flat[i * size:(i + 1) * size] for i in range(size)))
-    groups = preset_homology(Shelf(table), "shelf", maxdeg)
-    return [g.rank for g in groups]
+def _groups(job):
+    # job = preset_homology's positional arguments
+    return preset_homology(*job)
+
+
+def _ranks(job_list, jobs):
+    return [[g.rank for g in groups]
+            for groups in _pool_map(_groups, job_list, jobs)]
 
 
 def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
@@ -101,9 +104,7 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
         raise CapExceeded(f"growth scan capped at size 4, got {size}")
     keys = enumerate_shelves(size)
     report = ScanReport("growth", {"size": size, "maxdeg": maxdeg})
-    rank_lists = _pool_map(
-        _shelf_ranks, [(k.flat, size, maxdeg) for k in keys], jobs
-    )
+    rank_lists = _ranks([(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs)
     start = max(size - 2, 0)
     quotient_cmp = {"greater": 0, "equal": 0, "less": 0}
     witnesses = {}
@@ -170,11 +171,7 @@ def scan_example4(size: int, maxdeg: int = 3, jobs: int = 1) -> ScanReport:
         raise CapExceeded(f"example4 scan capped at size 4, got {size}")
     shelves = pointed_map_shelves(size)
     report = ScanReport("example4", {"size": size, "maxdeg": maxdeg})
-    rank_lists = _pool_map(
-        _shelf_ranks,
-        [(s.table.flat(), size, maxdeg) for s in shelves],
-        jobs,
-    )
+    rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
     for shelf, ranks in zip(shelves, rank_lists):
         r = left_orbits(shelf).count
         for d in range(1, maxdeg + 1):
@@ -219,10 +216,8 @@ def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
         "boolean",
         {"omega": omega, "radius": radius, "maxdeg": maxdeg, "augmented": augmented},
     )
-    rank_lists = _pool_map(
-        _multi_ranks,
-        [(ms, coeffs, maxdeg, augmented) for coeffs in grid],
-        jobs,
+    rank_lists = _ranks(
+        [(ms, "multi", maxdeg, coeffs, augmented) for coeffs in grid], jobs
     )
     for coeffs, ranks in zip(grid, rank_lists):
         conjectured = [
@@ -235,12 +230,6 @@ def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
             verdict=CONSISTENT if ranks == conjectured else INCONSISTENT,
         ))
     return report.finish()
-
-
-def _multi_ranks(args):
-    ms, coeffs, maxdeg, augmented = args
-    cx = build_complex(ms, coeffs, maxdeg + 1, augmented)
-    return [g.rank for g in homology_groups(cx, maxdeg)]
 
 
 def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
@@ -271,10 +260,8 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
             vectors.append(vec)
         if len(seen) >= (2 * bound + 1) ** nops - 1:
             break
-    rank_lists = _pool_map(
-        _multi_ranks,
-        [(ms, vec, maxdeg, augmented) for vec in vectors],
-        jobs,
+    rank_lists = _ranks(
+        [(ms, "multi", maxdeg, vec, augmented) for vec in vectors], jobs
     )
     counts = Counter(tuple(r) for r in rank_lists)
     top = max(counts.values())
@@ -309,13 +296,6 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
     return report.finish()
 
 
-def _class_torsion(args):
-    flat, size, maxdeg = args
-    table = BinaryOpTable(tuple(flat[i * size:(i + 1) * size] for i in range(size)))
-    groups = preset_homology(Shelf(table), "shelf", maxdeg)
-    return [list(g.torsion) for g in groups]
-
-
 def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> ScanReport:
     """List every iso class with torsion in degrees <= maxdeg.
 
@@ -326,11 +306,12 @@ def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> ScanReport:
         raise CapExceeded(f"torsion hunt capped at size 4, got {size}")
     keys = enumerate_shelves(size)
     report = ScanReport("torsion-hunt", {"size": size, "maxdeg": maxdeg})
-    torsion_lists = _pool_map(
-        _class_torsion, [(k.flat, size, maxdeg) for k in keys], jobs
+    group_lists = _pool_map(
+        _groups, [(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs
     )
     found = 0
-    for key, torsions in zip(keys, torsion_lists):
+    for key, groups in zip(keys, group_lists):
+        torsions = [list(g.torsion) for g in groups]
         if not any(torsions):
             continue
         found += 1

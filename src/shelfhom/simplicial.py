@@ -44,11 +44,6 @@ class ShelfComplex:
             return 0
         return len(self.simplices[dim])
 
-    def has(self, verts) -> bool:
-        verts = tuple(sorted(verts))
-        dim = len(verts) - 1
-        return 0 <= dim <= self.maxdim and verts in set(self.simplices[dim])
-
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         """Simplices that are not a face of any stored larger simplex."""
         out = []

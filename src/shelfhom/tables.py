@@ -56,9 +56,6 @@ class BinaryOpTable:
     def from_function(cls, n, fn) -> "BinaryOpTable":
         return cls(tuple(tuple(fn(x, y) for y in range(n)) for x in range(n)))
 
-    def apply(self, x: int, y: int) -> int:
-        return self.entries[x][y]
-
     def flat(self) -> tuple[int, ...]:
         """Row-major flattening; the file and canonical-key format."""
         return tuple(v for row in self.entries for v in row)
@@ -92,20 +89,6 @@ class MultiShelf:
     @property
     def size(self) -> int:
         return self.ops[0].size
-
-
-def satisfies_shelf_law(entries) -> bool:
-    """Cheap boolean form of the self-distributivity check."""
-    n = len(entries)
-    for x in range(n):
-        tx = entries[x]
-        for y in range(n):
-            txy = entries[tx[y]]
-            ty = entries[y]
-            for z in range(n):
-                if txy[z] != entries[tx[z]][ty[z]]:
-                    return False
-    return True
 
 
 def validate_shelf(table: BinaryOpTable) -> Shelf:

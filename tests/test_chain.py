@@ -10,6 +10,7 @@ from shelfhom.chain import (
     degenerate_free_tuples,
     homology,
     index_tuple,
+    preset_complex,
     preset_homology,
     quandle_quotient_complex,
 )
@@ -199,6 +200,35 @@ def test_preset_quandle_point():
     # degree 0 is Z because the preset is unaugmented
     assert all(g.is_trivial() for g in groups[1:])
     assert groups[0].rank == 1
+
+
+@pytest.mark.parametrize("kind, ops, coefficients, augmented, quotient", [
+    ("shelf", 1, (1,), True, False),
+    ("rack", 2, (1, -1), False, False),
+    ("quandle", 2, (1, -1), False, True),
+])
+def test_preset_complex_defaults(kind, ops, coefficients, augmented, quotient):
+    cx = preset_complex(DIHEDRAL3, kind, 2)
+    assert cx.maxdeg == 3
+    assert len(cx.ops) == ops
+    assert cx.coefficients == coefficients
+    assert cx.augmented is augmented
+    assert (cx.kind == "quandle-quotient") is quotient
+    flipped = preset_complex(DIHEDRAL3, kind, 2, augmented=not augmented)
+    assert flipped.augmented is not augmented
+
+
+def test_preset_complex_multi_and_bad_degrees():
+    ms = validate_multishelf([DIHEDRAL3.table, identity_op(3)])
+    cx = preset_complex(ms, "multi", 1, (1, -1))
+    assert (cx.maxdeg, cx.coefficients, cx.augmented) == (2, (1, -1), True)
+    assert ([g.rank for g in preset_homology(ms, "multi", 1, (1, -1), False)]
+            == [g.rank for g in preset_homology(DIHEDRAL3, "rack", 1)])
+    with pytest.raises(SizeMismatch):
+        preset_complex(ms, "multi", 1)
+    for kind in ("shelf", "quandle"):
+        with pytest.raises(DegreeNegative, match="maxdeg -1 < 0"):
+            preset_complex(DIHEDRAL3, kind, -1)
 
 
 def test_quandle_quotient_dimensions():

@@ -211,17 +211,63 @@ def test_torsion_hunt_command(tmp_path, capsys):
     assert doc["summary"]["classes_with_torsion"] == 0
 
 
-def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys):
-    path = write(tmp_path, PAPER_DOC)
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    for out in (out1, out2):
+# The --no-timestamp homology report at --maxdeg 2, pinned for each kind:
+# (document, extra flags, "shelf" key, coefficients, and per --augmented
+# value the augmentation and the (rank, torsion) of H_0, H_1, H_2).
+PAPER_KEY = [0, 0, 2, 3, 0, 1, 2, 3, 0, 0, 2, 3, 0, 2, 0, 3]
+RACK_KEY = [0, 2, 1, 2, 1, 0, 1, 0, 2]
+PINNED_HOMOLOGY = {
+    "shelf": (PAPER_DOC, [], PAPER_KEY, [1], {
+        "default": (True, [(1, []), (3, []), (12, [])]),
+        "on": (True, [(1, []), (3, []), (12, [])]),
+        "off": (False, [(2, []), (3, []), (12, [])]),
+    }),
+    "rack": (RACK_DOC, [], RACK_KEY, [1, -1], {
+        "default": (False, [(1, []), (1, []), (1, [3])]),
+        "on": (True, [(0, []), (1, []), (1, [3])]),
+        "off": (False, [(1, []), (1, []), (1, [3])]),
+    }),
+    "quandle": (RACK_DOC, [], RACK_KEY, [1, -1], {
+        "default": (False, [(1, []), (0, []), (0, [3])]),
+        "on": (True, [(0, []), (0, []), (0, [3])]),
+        "off": (False, [(1, []), (0, []), (0, [3])]),
+    }),
+    "multi": (BOOLEAN3_DOC, ["--coefficients", "1,-1,-1"],
+              [0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1], [1, -1, -1], {
+        "default": (True, [(1, []), (2, []), (4, [])]),
+        "on": (True, [(1, []), (2, []), (4, [])]),
+        "off": (False, [(2, []), (2, []), (4, [])]),
+    }),
+}
+
+
+@pytest.mark.parametrize("augmented", ["default", "on", "off"])
+@pytest.mark.parametrize("kind", list(PINNED_HOMOLOGY))
+def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys, kind, augmented):
+    doc, flags, key, coefficients, by_augmented = PINNED_HOMOLOGY[kind]
+    aug, groups = by_augmented[augmented]
+    expected = json.dumps({
+        "augmented": aug,
+        "coefficients": coefficients,
+        "command": "homology",
+        "groups": [
+            {"degree": d, "rank": rank, "torsion": torsion}
+            for d, (rank, torsion) in enumerate(groups)
+        ],
+        "kind": kind,
+        "schema": 1,
+        "shelf": key,
+    }, indent=2, sort_keys=True) + "\n"
+    path = write(tmp_path, doc)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
         code, _, _ = run(
-            capsys, "homology", "--input", path, "--maxdeg", "2",
+            capsys, "homology", "--input", path, "--kind", kind,
+            "--maxdeg", "2", "--augmented", augmented, *flags,
             "--no-timestamp", "--output", str(out),
         )
         assert code == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert outs[0].read_text() == outs[1].read_text() == expected
 
 
 def test_timestamp_present_by_default(tmp_path, capsys):
@@ -300,3 +346,121 @@ def test_internal_assertion_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "validate", "--input", path)
     assert code == 4
     assert json.loads(err)["error"] == "DDNotZero"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--size", "-1"],
+    ["torsion-hunt", "--size", "-2"],
+    ["scan", "--which", "growth", "--size", "-1"],
+], ids=["enumerate", "torsion-hunt", "scan-growth"])
+def test_negative_size_is_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfRange"
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--kind", "shelf"],
+    ["homology", "--kind", "quandle"],
+    ["torsion-hunt", "--size", "2"],
+    ["scan", "--which", "growth", "--size", "2"],
+], ids=["homology-shelf", "homology-quandle", "torsion-hunt", "scan-growth"])
+@pytest.mark.parametrize("maxdeg", ["-1", "-3"])
+def test_negative_maxdeg_is_exit_2(tmp_path, capsys, argv, maxdeg):
+    path = write(tmp_path, RACK_DOC)  # R_3 is a quandle, so both kinds take it
+    code, out, err = run(
+        capsys, *argv, "--input", path, "--maxdeg", maxdeg, "--no-timestamp",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "DegreeNegative", "message": f"maxdeg {maxdeg} < 0",
+    }
+
+
+def test_unwritable_output_is_exit_2(tmp_path, capsys):
+    path = write(tmp_path, PAPER_DOC)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(
+        capsys, "validate", "--input", path, "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError"
+    assert doc["message"].startswith(f"cannot write {target}: ")
+
+
+def test_export_matrices_onto_a_file_is_exit_2(tmp_path, capsys):
+    path = write(tmp_path, PAPER_DOC)
+    code, out, err = run(
+        capsys, "homology", "--input", path, "--maxdeg", "1",
+        "--export-matrices", path, "--no-timestamp",
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError"
+    assert doc["message"].startswith(f"cannot write {path}: ")
+
+
+EXIT_CODES = {
+    **dict.fromkeys([
+        "InputError", "ParseError", "SizeMismatch", "OutOfRange", "EmptyList",
+        "DistributivityViolation", "MutualDistributivityViolation",
+        "SpecPreconditionFailed", "RetractionNotIdentityOnA", "NotASpindle",
+        "NotInvertible", "DegreeNegative", "DegreeOutOfRange",
+        "DegenerateNotSubcomplex", "ChainMapViolation",
+    ], 2),
+    **dict.fromkeys([
+        "ResourceCap", "PracticalSizeLimit", "MemoryCapExceeded",
+        "CapExceeded", "BoundExceeded",
+    ], 3),
+    "DDNotZero": 4,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _run_raising(capsys, monkeypatch, exc):
+    from shelfhom import cli
+
+    def boom(args):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", boom)
+    code, out, err = run(capsys, "validate")
+    assert out == ""
+    return code, json.loads(err)
+
+
+def test_exit_code_table(capsys, monkeypatch):
+    from shelfhom import errors
+
+    classes = [
+        cls for cls in _subclasses(errors.ShelfHomError)
+        if cls.__module__ == errors.__name__
+    ]
+    got = {}
+    for cls in classes:
+        # built without __init__: some classes take structured arguments
+        code, err = _run_raising(capsys, monkeypatch, cls.__new__(cls, "x"))
+        assert err["error"] == cls.__name__
+        got[cls.__name__] = code
+    assert got == EXIT_CODES
+
+
+def test_unlisted_error_class_is_exit_4_not_a_traceback(capsys, monkeypatch):
+    from shelfhom.errors import ShelfHomError
+
+    class Unforeseen(ShelfHomError):
+        pass
+
+    code, err = _run_raising(capsys, monkeypatch, Unforeseen("surprise"))
+    assert code == 4
+    assert err == {"error": "Unforeseen", "message": "surprise"}
