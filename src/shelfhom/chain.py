@@ -78,6 +78,31 @@ def as_multishelf(structure) -> MultiShelf:
     raise SizeMismatch(f"expected Shelf or MultiShelf, got {type(structure).__name__}")
 
 
+def _assemble(ms, coefficients, tuples) -> dict[tuple[int, int], int]:
+    """Entries of sum_k c_k d^k on the given basis tuples, one column each
+    in the order given, keyed (tuple-basis row of the face, column)."""
+    n = ms.size
+    active = [(op.entries, c) for op, c in zip(ms.ops, coefficients) if c]
+    data: dict[tuple[int, int], int] = {}
+    for col, tup in enumerate(tuples):
+        d = len(tup) - 1
+        for t, c in active:
+            for i in range(d + 1):
+                xi = tup[i]
+                row = 0
+                for j in range(i):
+                    row = row * n + t[tup[j]][xi]
+                for j in range(i + 1, d + 1):
+                    row = row * n + tup[j]
+                key = (row, col)
+                s = data.get(key, 0) + (c if i % 2 == 0 else -c)
+                if s:
+                    data[key] = s
+                else:
+                    del data[key]
+    return data
+
+
 def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> SparseIntMatrix:
     """Matrix of sum_k c_k d^k in the tuple bases.
 
@@ -98,39 +123,19 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
         if not augmented:
             return SparseIntMatrix(0, n, {})
         return SparseIntMatrix._raw(1, n, {(0, j): 1 for j in range(n)})
-    d = degree
-    data: dict[tuple[int, int], int] = {}
-    active = [(k, c) for k, c in enumerate(coefficients) if c]
-    tables = [op.entries for op in ms.ops]
-    for col, tup in enumerate(product(range(n), repeat=d + 1)):
-        for k, c in active:
-            t = tables[k]
-            for i in range(d + 1):
-                xi = tup[i]
-                row = 0
-                for j in range(i):
-                    row = row * n + t[tup[j]][xi]
-                for j in range(i + 1, d + 1):
-                    row = row * n + tup[j]
-                key = (row, col)
-                s = data.get(key, 0) + (c if i % 2 == 0 else -c)
-                if s:
-                    data[key] = s
-                else:
-                    del data[key]
-    return SparseIntMatrix._raw(n ** d, n ** (d + 1), data)
+    data = _assemble(ms, coefficients, product(range(n), repeat=degree + 1))
+    return SparseIntMatrix._raw(n ** degree, n ** (degree + 1), data)
 
 
 class ChainComplex:
     """A built complex: boundary matrices d_0..d_maxdeg plus cached SNFs.
 
-    ``dims[d]`` is the rank of C_d.  For the full tuple complex ``bases`` is
-    None; the degenerate quotient stores its explicit per-degree bases.
-    Instances are immutable apart from the Smith-form cache.
+    ``dims[d]`` is the rank of C_d.  Instances are immutable apart from the
+    Smith-form cache.
     """
 
     def __init__(self, size, ops, coefficients, maxdeg, augmented,
-                 dims, boundaries, bases=None, kind="tuple"):
+                 dims, boundaries, kind="tuple"):
         self.size = size
         self.ops = tuple(ops)
         self.coefficients = tuple(coefficients)
@@ -138,7 +143,6 @@ class ChainComplex:
         self.augmented = augmented
         self.dims = tuple(dims)
         self.boundaries = tuple(boundaries)
-        self.bases = bases
         self.kind = kind
         self._snf_cache: dict[int, SmithForm] = {}
 
@@ -168,10 +172,11 @@ class ChainComplex:
 
 
 def check_memory_cap(size, maxdeg, cap):
-    if size ** (maxdeg + 2) > cap:
+    need = size ** (maxdeg + 2)
+    if need > cap:
         raise MemoryCapExceeded(
-            f"n^(maxdeg+2) = {size}^{maxdeg + 2} exceeds the cap {cap}; "
-            "raise the cap to force the computation"
+            f"building d_0..d_{maxdeg} needs {size}^{maxdeg + 2} = {need} "
+            f"<= cap, got cap {cap}; raise the cap to force the computation"
         )
 
 
@@ -267,15 +272,13 @@ def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
     return homology_groups(cx, maxdeg)
 
 
+def _degenerate(tup) -> bool:
+    return any(a == b for a, b in zip(tup, tup[1:]))
+
+
 def degenerate_free_tuples(n: int, degree: int):
     """Tuples of length degree+1 with no two equal adjacent entries."""
-    if degree == 0:
-        return [(x,) for x in range(n)]
-    out = []
-    for tup in product(range(n), repeat=degree + 1):
-        if all(tup[i] != tup[i + 1] for i in range(degree)):
-            out.append(tup)
-    return out
+    return [t for t in product(range(n), repeat=degree + 1) if not _degenerate(t)]
 
 
 def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
@@ -284,9 +287,9 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
     """The quotient of the tuple complex by degenerate chains.
 
     Degenerate chains (some x_i = x_{i+1}) form a subcomplex for spindles
-    under the (op, identity) differentials; this is verified columnwise
-    before the quotient is assembled, and a structured error is raised for
-    a coefficient vector that fails to preserve them.
+    under the (op, identity) differentials; each degenerate column is
+    checked to have only degenerate terms (a structured error otherwise),
+    and the quotient is assembled directly on the nondegenerate basis.
     """
     if not is_spindle(shelf.table):
         raise NotASpindle("degenerate chains only form a subcomplex for spindles")
@@ -299,39 +302,22 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
     if len(coefficients) != 2:
         raise SizeMismatch("the degenerate quotient uses the (op, identity) pair")
 
-    full = [boundary_matrix(ms, coefficients, d, augmented) for d in range(maxdeg + 1)]
-    bases = [degenerate_free_tuples(n, d) for d in range(maxdeg + 1)]
-    base_index = [
-        {tup: i for i, tup in enumerate(bs)} for bs in bases
-    ]
-
     # degree 0 has no degenerate tuples, so d_0 is the full one
-    boundaries = [full[0]]
+    boundaries = [boundary_matrix(ms, coefficients, 0, augmented)]
+    bases = [degenerate_free_tuples(n, 0)]
     for d in range(1, maxdeg + 1):
-        cols_of: dict[int, list] = {}
-        for (i, j), v in full[d].data.items():
-            cols_of.setdefault(j, []).append((i, v))
-        good_rows = base_index[d - 1]
+        rows = {basis_index(tup, n): r for r, tup in enumerate(bases[-1])}
         # d(D) must live in D: check every degenerate generator's column.
-        for col, tup in enumerate(product(range(n), repeat=d + 1)):
-            if tup in base_index[d]:
-                continue
-            for i, _ in cols_of.get(col, ()):
-                if index_tuple(i, d, n) in good_rows:
-                    raise DegenerateNotSubcomplex(
-                        f"d({tup}) has a nondegenerate term at degree {d} "
-                        f"for coefficients {coefficients}"
-                    )
-        # project the surviving columns onto the nondegenerate basis
-        data = {}
-        for new_col, tup in enumerate(bases[d]):
-            for i, v in cols_of.get(basis_index(tup, n), ()):
-                row = good_rows.get(index_tuple(i, d, n))
-                if row is not None:
-                    data[(row, new_col)] = v
-        boundaries.append(
-            SparseIntMatrix._raw(len(bases[d - 1]), len(bases[d]), data)
-        )
+        for tup in filter(_degenerate, product(range(n), repeat=d + 1)):
+            if any(i in rows for i, _ in _assemble(ms, coefficients, (tup,))):
+                raise DegenerateNotSubcomplex(
+                    f"d({tup}) has a nondegenerate term at degree {d} "
+                    f"for coefficients {coefficients}"
+                )
+        bases.append(degenerate_free_tuples(n, d))
+        faces = _assemble(ms, coefficients, bases[d])
+        data = {(rows[i], j): v for (i, j), v in faces.items() if i in rows}
+        boundaries.append(SparseIntMatrix._raw(len(rows), len(bases[d]), data))
     _check_dd(boundaries, "quotient ")
     return ChainComplex(
         size=n,
@@ -341,7 +327,6 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
         augmented=augmented,
         dims=[len(bs) for bs in bases],
         boundaries=boundaries,
-        bases=tuple(tuple(bs) for bs in bases),
         kind="quandle-quotient",
     )
 

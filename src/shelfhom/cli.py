@@ -111,7 +111,7 @@ def _flags_doc(shelf) -> dict:
         "spindle": flags.is_spindle,
         "rack": flags.is_rack,
         "left_connected": flags.is_left_connected,
-        "invertible": flags.is_invertible,
+        "invertible": flags.is_rack,
     }
 
 

@@ -108,10 +108,12 @@ def orbit_quotient(shelf: Shelf):
 
 @dataclass(frozen=True)
 class ShelfFlags:
+    """is_rack: every right translation is a bijection (the report's
+    "rack" and "invertible" keys both read it)."""
+
     is_spindle: bool
     is_rack: bool
     is_left_connected: bool
-    is_invertible: bool
 
 
 def is_spindle(table: BinaryOpTable) -> bool:
@@ -129,12 +131,10 @@ def is_invertible(table: BinaryOpTable) -> bool:
 
 
 def classify(shelf: Shelf) -> ShelfFlags:
-    inv = is_invertible(shelf.table)
     return ShelfFlags(
         is_spindle=is_spindle(shelf.table),
-        is_rack=inv,
+        is_rack=is_invertible(shelf.table),
         is_left_connected=left_orbits(shelf).count == 1,
-        is_invertible=inv,
     )
 
 

@@ -21,7 +21,7 @@ from itertools import product
 
 from .census import canonical_form, enumerate_shelves
 from .chain import preset_homology
-from .errors import CapExceeded, EmptyList
+from .errors import CapExceeded, EmptyList, OutOfRange
 from .families import BooleanMultiShelf, PointedMap, construct_family
 from .orbits import left_orbits
 from .tables import BinaryOpTable, Shelf, validate_multishelf
@@ -135,6 +135,8 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
 
 def pointed_map_shelves(size: int):
     """One shelf per iso class of the pointed-map family on the carrier."""
+    if size < 0:
+        raise OutOfRange(f"carrier size {size} < 0")
     out = {}
     for b in range(size):
         candidates = [

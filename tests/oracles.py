@@ -159,44 +159,46 @@ def iso_classes_by_orbit(flats, n):
     return sorted(reps)
 
 
+def _nondegenerate(n, d):
+    return [tup for tup in product(range(n), repeat=d + 1)
+            if all(tup[i] != tup[i + 1] for i in range(d))]
+
+
+def dense_quandle_boundary(rows, d):
+    """Dense d_d (d >= 1) of the quotient-by-degenerate-chains complex of a
+    spindle for the differential (op - identity), on the nondegenerate
+    tuples in lexicographic order."""
+    n = len(rows)
+    src = _nondegenerate(n, d)
+    dst = {tup: i for i, tup in enumerate(_nondegenerate(n, d - 1))}
+    mat = [[0] * len(src) for _ in range(len(dst))]
+    for j, tup in enumerate(src):
+        for i in range(d + 1):
+            sign = 1 if i % 2 == 0 else -1
+            starred = tuple(rows[tup[a]][tup[i]] for a in range(i)) + tup[i + 1:]
+            kept = tup[:i] + tup[i + 1:]
+            for target, coeff in ((starred, sign), (kept, -sign)):
+                row = dst.get(target)
+                if row is not None:
+                    mat[row][j] += coeff
+    return mat
+
+
 def dense_quandle_groups(rows, maxdeg):
     """Quandle-style homology of a spindle via dense matrices.
 
-    Builds the quotient-by-degenerate-chains complex for the differential
-    (op - identity) directly as dense matrices and reduces them with the
-    dense Smith oracle.  Returns [(rank, torsion), ...] for degrees
-    0..maxdeg - 1 (unaugmented).
+    Reduces the :func:`dense_quandle_boundary` matrices with the dense
+    Smith oracle.  Returns [(rank, torsion), ...] for degrees 0..maxdeg - 1
+    (unaugmented).
     """
     n = len(rows)
-    bases = []
-    for d in range(maxdeg + 1):
-        bases.append([
-            tup for tup in product(range(n), repeat=d + 1)
-            if all(tup[i] != tup[i + 1] for i in range(d))
-        ])
-
-    def boundary(d):
-        src = bases[d]
-        dst = {tup: i for i, tup in enumerate(bases[d - 1])}
-        mat = [[0] * len(src) for _ in range(len(dst))]
-        for j, tup in enumerate(src):
-            for i in range(d + 1):
-                sign = 1 if i % 2 == 0 else -1
-                starred = tuple(rows[tup[a]][tup[i]] for a in range(i)) + tup[i + 1:]
-                kept = tup[:i] + tup[i + 1:]
-                for target, coeff in ((starred, sign), (kept, -sign)):
-                    row = dst.get(target)
-                    if row is not None:
-                        mat[row][j] += coeff
-        return mat
-
-    mats = [None] + [boundary(d) for d in range(1, maxdeg + 1)]
+    mats = [None] + [dense_quandle_boundary(rows, d) for d in range(1, maxdeg + 1)]
     out = []
     for d in range(maxdeg):
         lower_rank = (
             len(dense_smith_factors(mats[d])) if d >= 1 else 0
         )
         upper = dense_smith_factors(mats[d + 1])
-        rank = len(bases[d]) - lower_rank - len(upper)
+        rank = len(_nondegenerate(n, d)) - lower_rank - len(upper)
         out.append((rank, tuple(f for f in upper if f > 1)))
     return out

@@ -15,6 +15,7 @@ from shelfhom.chain import (
     quandle_quotient_complex,
 )
 from shelfhom.errors import (
+    DegenerateNotSubcomplex,
     DegreeNegative,
     DegreeOutOfRange,
     MemoryCapExceeded,
@@ -257,6 +258,34 @@ def test_quandle_quotient_against_dense_oracle(labelled_by_size):
                 [list(r) for r in table.entries], 3
             )
             assert [(g.rank, g.torsion) for g in got] == want, table
+
+
+def test_quandle_quotient_matrices_against_dense_oracle(labelled_by_size):
+    from shelfhom.orbits import is_spindle
+
+    cases = [(DIHEDRAL3.table, 8)] + [
+        (table, 3) for n in (2, 3) for table in labelled_by_size[n]
+        if is_spindle(table)
+    ]
+    for table, maxdeg in cases:
+        cx = quandle_quotient_complex(Shelf(table), (1, -1), maxdeg)
+        rows = [list(r) for r in table.entries]
+        assert cx.boundary(0).to_dense() == []
+        for d in range(1, maxdeg + 1):
+            assert cx.boundary(d).to_dense() == oracles.dense_quandle_boundary(
+                rows, d
+            ), (table, d)
+
+
+def test_degenerate_subcomplex_check_fires(monkeypatch):
+    # x*y = 0 is a shelf but not a spindle: d(1, 1) = (1) - (0) leaves the
+    # degenerate chains, and the columnwise check must say so
+    import shelfhom.chain as chain
+
+    monkeypatch.setattr(chain, "is_spindle", lambda table: True)
+    zero = validate_shelf(BinaryOpTable.from_function(2, lambda x, y: 0))
+    with pytest.raises(DegenerateNotSubcomplex, match=r"d\(\(1, 1\)\)"):
+        quandle_quotient_complex(zero, (1, -1), maxdeg=2)
 
 
 def test_quandle_known_dihedral_torsion():

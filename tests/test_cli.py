@@ -121,21 +121,62 @@ def test_homology_cap_exit_code(tmp_path, capsys):
         capsys, "homology", "--input", path, "--maxdeg", "3", "--cap", "64"
     )
     assert code == 3
-    assert json.loads(err)["error"] == "MemoryCapExceeded"
+    assert json.loads(err) == {
+        "error": "MemoryCapExceeded",
+        "message": "building d_0..d_4 needs 4^6 = 4096 <= cap, got cap 64; "
+                   "raise the cap to force the computation",
+    }
 
 
-def test_homology_export_matrices(tmp_path, capsys):
-    path = write(tmp_path, PAPER_DOC)
+# The R_3 quotient boundaries d_0..d_3 exported by `homology --kind quandle
+# --maxdeg 2`, as space-separated row,col,value triplets.
+R3_QUANDLE_CSV = {
+    "d0.csv": (
+        ""
+    ),
+    "d1.csv": (
+        "0,0,1 0,1,1 0,3,-1 0,5,-1 1,1,-1 1,2,1 1,3,1 1,4,-1 2,0,-1 2,2,-1 "
+        "2,4,1 2,5,1 "
+    ),
+    "d2.csv": (
+        "0,0,-1 0,1,-1 0,2,1 0,3,1 0,5,1 0,7,-1 1,0,1 1,1,1 1,2,-1 1,3,-1 "
+        "1,8,1 1,11,-1 2,1,1 2,2,-1 2,4,-1 2,5,-1 2,6,1 2,7,1 3,4,1 3,5,1 "
+        "3,6,-1 3,7,-1 3,9,-1 3,10,1 4,0,-1 4,3,1 4,8,-1 4,9,-1 4,10,1 "
+        "4,11,1 5,4,-1 5,6,1 5,8,1 5,9,1 5,10,-1 5,11,-1 "
+    ),
+    "d3.csv": (
+        "0,0,1 0,1,1 0,2,-1 0,6,1 0,9,-1 0,10,1 0,14,-1 0,23,-1 1,1,-1 "
+        "1,2,1 1,3,1 1,5,1 1,6,-1 1,7,1 1,15,-1 1,20,-1 2,2,1 2,4,1 2,5,1 "
+        "2,6,-1 2,15,-1 2,16,1 2,19,-1 2,22,-1 3,0,1 3,2,-1 3,3,1 3,4,-1 "
+        "3,6,1 3,7,1 3,13,-1 3,23,-1 4,1,-1 4,3,1 4,4,-1 4,8,1 4,9,1 "
+        "4,11,-1 4,12,1 4,18,-1 5,5,-1 5,9,-1 5,10,1 5,11,1 5,12,-1 5,13,1 "
+        "5,15,1 5,16,-1 6,7,-1 6,8,1 6,10,1 6,11,-1 6,12,1 6,13,1 6,14,-1 "
+        "6,18,-1 7,5,-1 7,11,1 7,12,-1 7,14,1 7,15,1 7,19,-1 7,20,1 7,22,-1 "
+        "8,0,-1 8,10,-1 8,16,1 8,17,1 8,19,-1 8,20,1 8,21,-1 8,23,1 9,1,-1 "
+        "9,4,-1 9,7,1 9,8,-1 9,17,-1 9,18,1 9,19,1 9,21,1 10,3,-1 10,8,-1 "
+        "10,16,1 10,17,-1 10,18,1 10,20,1 10,21,1 10,22,-1 11,0,-1 11,9,-1 "
+        "11,13,1 11,14,-1 11,17,1 11,21,-1 11,22,1 11,23,1 "
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["shelf", "quandle"])
+def test_homology_export_matrices(tmp_path, capsys, kind):
+    path = write(tmp_path, RACK_DOC)
     outdir = tmp_path / "mats"
     code, _, _ = run(
-        capsys, "homology", "--input", path, "--maxdeg", "1",
+        capsys, "homology", "--input", path, "--kind", kind, "--maxdeg", "2",
         "--export-matrices", str(outdir), "--no-timestamp",
     )
     assert code == 0
     names = sorted(os.listdir(outdir))
-    assert names == ["d0.csv", "d1.csv", "d2.csv"]
+    assert names == ["d0.csv", "d1.csv", "d2.csv", "d3.csv"]
     header = (outdir / "d1.csv").read_text().splitlines()[0]
     assert header == "row,col,value"
+    if kind == "quandle":
+        for name, triplets in R3_QUANDLE_CSV.items():
+            want = "\n".join(["row,col,value"] + triplets.split()) + "\n"
+            assert (outdir / name).read_text() == want, name
 
 
 def test_simplicial_command(tmp_path, capsys):
@@ -352,7 +393,8 @@ def test_internal_assertion_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     ["enumerate", "--size", "-1"],
     ["torsion-hunt", "--size", "-2"],
     ["scan", "--which", "growth", "--size", "-1"],
-], ids=["enumerate", "torsion-hunt", "scan-growth"])
+    ["scan", "--which", "example4", "--size", "-1"],
+], ids=["enumerate", "torsion-hunt", "scan-growth", "scan-example4"])
 def test_negative_size_is_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--no-timestamp")
     assert code == 2

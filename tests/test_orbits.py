@@ -84,7 +84,7 @@ def test_orbit_quotient_of_exceptional_three_element_shelf():
 def test_classify_dihedral():
     flags = classify(shelf_mod(3, lambda x, y: (2 * y - x) % 3))
     assert flags.is_spindle and flags.is_rack
-    assert flags.is_left_connected and flags.is_invertible
+    assert flags.is_left_connected
 
 
 def test_classify_right_trivial():
@@ -93,7 +93,6 @@ def test_classify_right_trivial():
     # force vanishing)
     flags = classify(validate_shelf(right_trivial_op(3)))
     assert flags.is_spindle
-    assert not flags.is_invertible
     assert not flags.is_rack
     assert not flags.is_left_connected
 
@@ -101,7 +100,7 @@ def test_classify_right_trivial():
 def test_classify_constant_left():
     flags = classify(shelf_mod(3, lambda x, y: 0))
     assert not flags.is_spindle
-    assert not flags.is_invertible
+    assert not flags.is_rack
     assert flags.is_left_connected
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from shelfhom import scans
-from shelfhom.errors import CapExceeded
+from shelfhom.errors import CapExceeded, OutOfRange
 from shelfhom.families import BooleanMultiShelf, construct_family
 from shelfhom.scans import (
     is_pointed_map_type,
@@ -42,6 +42,13 @@ def test_growth_report_structure():
 def test_growth_size_guard():
     with pytest.raises(CapExceeded):
         scan_growth(5)
+
+
+def test_pointed_map_shelves_size_zero_is_empty_and_negative_is_refused():
+    assert pointed_map_shelves(0) == []
+    assert scan_example4(0).summary["points"] == 0
+    with pytest.raises(OutOfRange, match="carrier size -1 < 0"):
+        pointed_map_shelves(-1)
 
 
 def test_pointed_map_shelves_include_right_trivial():
