@@ -37,14 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     common.add_argument("--maxdeg", metavar="K", type=int, default=None,
                         help="top degree to compute (top dimension for simplicial)")
-    common.add_argument("--augmented", choices=["on", "off", "default"], default="default",
-                        help="augmentation override; default depends on the kind")
-    common.add_argument("--cap", metavar="BYTES", type=int, default=DEFAULT_MEMORY_CAP,
-                        help="basis-element cap guarding complex construction")
-    common.add_argument("--jobs", metavar="K", type=int, default=1,
-                        help="worker processes for independent scan jobs")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit generated_at for byte-identical reruns")
+    # flags that only some subcommands read; the others refuse them
+    augmented = argparse.ArgumentParser(add_help=False)
+    augmented.add_argument("--augmented", choices=["on", "off", "default"], default="default",
+                           help="augmentation override; default depends on the kind")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", metavar="K", type=int, default=1,
+                      help="worker processes for independent scan jobs")
 
     p = sub.add_parser("validate", parents=[common],
                        help="check the distributivity laws of an input document")
@@ -52,8 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", parents=[common],
                        help="left orbits and the orbit quotient of a shelf")
 
-    p = sub.add_parser("homology", parents=[common],
+    p = sub.add_parser("homology", parents=[common, augmented],
                        help="shelf/rack/quandle/multi-shelf homology groups")
+    p.add_argument("--cap", metavar="BYTES", type=int, default=DEFAULT_MEMORY_CAP,
+                   help="basis-element cap guarding complex construction")
     p.add_argument("--kind", choices=["shelf", "rack", "quandle", "multi"],
                    default="shelf")
     p.add_argument("--coefficients", metavar="C1,C2,...",
@@ -68,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="isomorphism classes of shelves of a given size")
     p.add_argument("--size", type=int, required=True)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[common, augmented, jobs],
                        help="conjecture scans (report-only, never assertions)")
     p.add_argument("--which", choices=["growth", "example4", "boolean", "hyperplane"],
                    required=True)
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("torsion-hunt", parents=[common],
+    p = sub.add_parser("torsion-hunt", parents=[common, jobs],
                        help="list iso classes with torsion in low degrees")
     p.add_argument("--size", type=int, required=True)
 

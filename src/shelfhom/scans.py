@@ -211,6 +211,8 @@ def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
     """The subset multi-shelf (identity, meet, join) over a coefficient grid."""
     if omega > 2:
         raise CapExceeded(f"boolean scan capped at |Omega| = 2, got {omega}")
+    if radius < 0:
+        raise EmptyList(f"the coefficient grid needs radius >= 0, got {radius}")
     four = construct_family(BooleanMultiShelf(omega))
     ms = validate_multishelf(four.ops[:3])
     grid = list(product(range(-radius, radius + 1), repeat=3))

@@ -1,20 +1,18 @@
 """Smith normal form of sparse integer matrices, exactly over Z.
 
 The boundary matrices this package produces are large but very sparse with
-almost all entries +-1, so the computation has two stages:
-
-1. compress: drop zero rows/columns and duplicates up to sign (unimodular
-   row/column operations make such lines zero, so rank and invariant factors
-   are unchanged);
-2. one elimination loop.  While a unit entry remains, it pivots on the unit
-   of least Markowitz cost (row length - 1) * (column length - 1), which
-   bounds the fill-in the pivot can cause; a unit alone in its row or column
-   costs 0 and causes none.  A unit divides everything, so it can be
-   committed in any order without breaking the invariant-factor chain.  Once
-   no unit is left, the pivot of least absolute value is reduced instead,
-   with divisibility of the whole remaining submatrix enforced before it is
-   committed, so the committed pivots form the invariant-factor chain
-   directly.  Units that this creates go back to the unit candidates.
+almost all entries +-1, so the computation is one elimination loop.  While a
+unit entry remains, it pivots on the unit of least Markowitz cost
+(row length - 1) * (column length - 1), which bounds the fill-in the pivot
+can cause; a unit alone in its row or column costs 0 and causes none.  A unit
+divides everything, so it can be committed in any order without breaking the
+invariant-factor chain.  The unit candidates are a heap of rows with one
+live entry per row, keyed by the cost of its cheapest unit when queued; a row
+is queued again when a row operation creates a cheaper unit in it, and it is
+rescanned when popped.  Once no unit is left, the pivot of least absolute
+value is reduced instead, with divisibility of the whole remaining submatrix
+enforced before it is committed, so the committed pivots form the
+invariant-factor chain directly.
 
 Only the factors are produced; the unimodular transforms are never needed
 here.  All arithmetic is on Python ints, so nothing overflows.
@@ -23,7 +21,7 @@ here.  All arithmetic is on Python ints, so nothing overflows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .intmat import SparseIntMatrix
 
@@ -85,62 +83,36 @@ class HomologyGroup:
 
 def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:
     rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
     for (i, j), v in mat.data.items():
         rows.setdefault(i, {})[j] = v
-    _compress(rows)
-    cols: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
+        cols.setdefault(j, set()).add(i)
     return SmithForm(tuple(_eliminate(rows, cols)))
 
 
-def _sign_normalized(items):
-    items = sorted(items)
-    if items and items[0][1] < 0:
-        items = [(j, -v) for j, v in items]
-    return tuple(items)
+def _cheapest_unit(r, cols):
+    """(cost, column) of the unit of least Markowitz cost in row r, or None."""
+    best = None
+    for j, v in r.items():
+        if (v == 1 or v == -1) and (best is None or len(cols[j]) < best[0]):
+            best = len(cols[j]), j
+    if best is not None:
+        return (len(r) - 1) * (best[0] - 1), best[1]
 
 
-def _compress(rows):
-    """Drop duplicate (up to sign) rows and columns; repeat to a fixpoint."""
-    while True:
-        changed = False
-        seen = {}
-        for i in sorted(rows):
-            fp = _sign_normalized(rows[i].items())
-            if fp in seen:
-                del rows[i]
-                changed = True
-            else:
-                seen[fp] = i
-        col_items: dict[int, list] = {}
-        for i, r in rows.items():
-            for j, v in r.items():
-                col_items.setdefault(j, []).append((i, v))
-        seen = {}
-        drop = []
-        for j in sorted(col_items):
-            fp = _sign_normalized(col_items[j])
-            if fp in seen:
-                drop.append(j)
-                changed = True
-            else:
-                seen[fp] = j
-        for j in drop:
-            for i, _ in col_items[j]:
-                r = rows[i]
-                del r[j]
-                if not r:
-                    del rows[i]
-        if not changed:
-            return
+def _queue(units, live, i, cost):
+    """Push (cost, i) on the unit heap unless row i is already queued no
+    higher; live holds each row's live key, and its other entries are stale."""
+    if cost < live.get(i, cost + 1):
+        live[i] = cost
+        heappush(units, (cost, i))
 
 
-def _row_axpy(rows, cols, dst, src, c, units):
+def _row_axpy(rows, cols, dst, src, c, units, live):
     """rows[dst] += c * src for a row dict src; drops dst if it becomes zero.
 
-    Entries that become +-1 are pushed onto the unit heap."""
+    If some entry became +-1, dst is queued once, at the least cost among
+    those new units."""
     rdst = rows[dst]
     fresh = []
     for j, v in src.items():
@@ -157,45 +129,46 @@ def _row_axpy(rows, cols, dst, src, c, units):
             cols[j].discard(dst)
     if not rdst:
         del rows[dst]
-        return
-    n = len(rdst) - 1
-    for j in fresh:
-        heappush(units, (n * (len(cols[j]) - 1), dst, j))
+    elif fresh:
+        n = len(rdst) - 1
+        _queue(units, live, dst, min(n * (len(cols[j]) - 1) for j in fresh))
 
 
-def _next_unit(rows, cols, units):
+def _next_unit(rows, cols, units, live):
     """Pop the unit of least Markowitz cost, or None when no unit is left.
 
-    Heap entries are lazy: an entry whose row is gone or whose value is no
-    longer +-1 is dropped, and one whose cost has grown is pushed back."""
+    The heap holds rows, keyed by a cost that was true when queued.  A
+    popped row is rescanned: it is dropped when it is gone or has no unit
+    left, and queued again when its cheapest unit now costs more."""
     while units:
-        cost, i, j = heappop(units)
+        cost, i = heappop(units)
+        if live.get(i) != cost:
+            continue
+        del live[i]
         r = rows.get(i)
         if r is None:
             continue
-        v = r.get(j)
-        if v != 1 and v != -1:
+        best = _cheapest_unit(r, cols)
+        if best is None:
             continue
-        now = (len(r) - 1) * (len(cols[j]) - 1)
-        if now > cost:
-            heappush(units, (now, i, j))
+        if best[0] > cost:
+            _queue(units, live, i, best[0])
             continue
-        return i, j
+        return i, best[1]
     return None
 
 
 def _eliminate(rows, cols):
-    """Eliminate the compressed matrix completely; returns the pivots."""
+    """Eliminate the matrix completely; returns the pivots."""
     pivots = []
-    units = [
-        ((len(r) - 1) * (len(cols[j]) - 1), i, j)
-        for i, r in rows.items()
-        for j, v in r.items()
-        if v == 1 or v == -1
-    ]
-    heapify(units)
+    units = []
+    live = {}
+    for i, r in rows.items():
+        best = _cheapest_unit(r, cols)
+        if best is not None:
+            _queue(units, live, i, best[0])
     while rows:
-        unit = _next_unit(rows, cols, units)
+        unit = _next_unit(rows, cols, units, live)
         if unit is not None:
             # clear column pj with row operations; then column pj is the
             # pivot alone, and the column operations that clear row pi
@@ -207,7 +180,7 @@ def _eliminate(rows, cols):
                 cols[j].discard(pi)
             for k in cols.pop(pj):
                 if k != pi:
-                    _row_axpy(rows, cols, k, rp, -rows[k].pop(pj) * pv, units)
+                    _row_axpy(rows, cols, k, rp, -rows[k].pop(pj) * pv, units, live)
             pivots.append(1)
             continue
         best = None
@@ -231,7 +204,7 @@ def _eliminate(rows, cols):
                     continue
                 q = rows[k][pj] // pv
                 if q:
-                    _row_axpy(rows, cols, k, rp, -q, units)
+                    _row_axpy(rows, cols, k, rp, -q, units, live)
                 res = rows.get(k, {}).get(pj, 0)
                 if res and (smallest is None or (res, k) < smallest):
                     smallest = (res, k)
@@ -247,9 +220,6 @@ def _eliminate(rows, cols):
                     nb = rp[j] - q * pv
                     if nb:
                         rp[j] = nb
-                        if nb == 1:
-                            # 0 is a lower bound; _next_unit reprices it
-                            heappush(units, (0, pi, j))
                     else:
                         del rp[j]
                         cols[j].discard(pi)
@@ -268,7 +238,7 @@ def _eliminate(rows, cols):
                         offender = i2
                         break
                 if offender is not None:
-                    _row_axpy(rows, cols, pi, rows[offender], 1, units)
+                    _row_axpy(rows, cols, pi, rows[offender], 1, units, live)
                     continue
             break
         pivots.append(rows[pi][pj])

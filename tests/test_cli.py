@@ -243,6 +243,43 @@ def test_scan_hyperplane_rejects_zero_samples_or_bound(tmp_path, capsys, flag):
     assert json.loads(err)["error"] == "EmptyList"
 
 
+def test_scan_boolean_rejects_negative_radius(capsys):
+    code, out, err = run(
+        capsys, "scan", "--which", "boolean", "--radius", "-1",
+        "--maxdeg", "1", "--no-timestamp",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "EmptyList",
+        "message": "the coefficient grid needs radius >= 0, got -1",
+    }
+    # radius 0 is the one-point grid (0, 0, 0)
+    code, out, _ = run(
+        capsys, "scan", "--which", "boolean", "--radius", "0",
+        "--maxdeg", "1", "--no-timestamp",
+    )
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert [p["params"]["coefficients"] for p in points] == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--cap", "64"],
+    ["simplicial", "--cap", "64"],
+    ["homology", "--jobs", "2"],
+    ["orbits", "--augmented", "on"],
+], ids=["validate-cap", "simplicial-cap", "homology-jobs", "orbits-augmented"])
+def test_flag_of_another_subcommand_is_exit_2(tmp_path, capsys, argv):
+    path = write(tmp_path, PAPER_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", path, "--no-timestamp"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: " + argv[1] in err
+
+
 def test_torsion_hunt_command(tmp_path, capsys):
     code, out, _ = run(
         capsys, "torsion-hunt", "--size", "2", "--maxdeg", "2", "--no-timestamp"

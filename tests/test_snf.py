@@ -78,6 +78,33 @@ def test_random_matrices_against_dense_oracle():
             for _ in range(nrows)
         ]
         assert snf_dense(rows).factors == oracles.dense_smith_factors(rows), rows
+    # mostly +-1 entries with copies of random rows and columns, some of them
+    # negated, and zero rows and columns, all inserted at random places: the
+    # elimination meets duplicate lines and empty lines as they come
+    for _ in range(120):
+        ncols = rng.randint(1, 7)
+        rows = [
+            [rng.choice((1, -1, 1, -1, 2)) if rng.random() < 0.6 else 0
+             for _ in range(ncols)]
+            for _ in range(rng.randint(1, 7))
+        ]
+        for _ in range(rng.randint(1, 3)):
+            sign = rng.choice((1, -1))
+            copy = [sign * v for v in rng.choice(rows)]
+            rows.insert(rng.randint(0, len(rows)), copy)
+        for _ in range(rng.randint(1, 3)):
+            sign, j, at = rng.choice((1, -1)), rng.randrange(ncols), rng.randint(0, ncols)
+            for r in rows:
+                r.insert(at, sign * r[j])
+            ncols += 1
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randint(0, ncols)
+            for r in rows:
+                r.insert(at, 0)
+            ncols += 1
+        assert snf_dense(rows).factors == oracles.dense_smith_factors(rows), rows
 
 
 def test_minor_gcd_products():
@@ -176,6 +203,38 @@ def _dihedral_rack_boundary(n, degree):
 def test_bench_size_rack_boundaries(n, degree, rank, torsion):
     sf = smith_normal_form(_dihedral_rack_boundary(n, degree))
     assert (sf.rank, sf.torsion()) == (rank, torsion)
+
+
+@pytest.mark.parametrize("degree, rank", [
+    (4, 205),   # 256 x 1024
+    (5, 819),   # 1024 x 4096
+])
+def test_bench_size_shelf_boundaries(degree, rank):
+    # W2, the shelf 0000 1011 2202 3330: large, and free of torsion
+    table = BinaryOpTable.from_rows(
+        [[0, 0, 0, 0], [1, 0, 1, 1], [2, 2, 0, 2], [3, 3, 3, 0]]
+    )
+    sf = smith_normal_form(boundary_matrix(MultiShelf((table,)), (1,), degree))
+    assert (sf.rank, sf.torsion()) == (rank, ())
+
+
+def test_factors_invariant_under_unimodular_operations_on_a_boundary():
+    # R_3's rack d_3 (27 x 81), scrambled by seeded unimodular row and column
+    # operations into a denser matrix with many entries beyond +-1
+    rows = _dihedral_rack_boundary(3, 3).to_dense()
+    factors = snf_dense(rows).factors
+    assert factors == oracles.dense_smith_factors(rows)
+    assert (len(factors), factors[-1]) == (20, 3)
+    for seed in range(4):
+        rng = random.Random(seed)
+        ops = [
+            (rng.choice(("row", "col")), rng.choice(("add", "swap", "negate")),
+             rng.randrange(81), rng.randrange(81), rng.choice((-2, -1, 1, 2)))
+            for _ in range(300)
+        ]
+        scrambled = _scramble(rows, ops)
+        assert snf_dense(scrambled).factors == factors, seed
+        assert oracles.dense_smith_factors(scrambled) == factors, seed
 
 
 def test_triplet_csv_round_trip():
