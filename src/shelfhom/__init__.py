@@ -7,7 +7,6 @@ from .chain import (
     basis_index,
     boundary_matrix,
     build_complex,
-    homology,
     homology_groups,
     index_tuple,
     preset_complex,
@@ -32,7 +31,7 @@ from .families import (
 )
 from .intmat import SparseIntMatrix
 from .orbits import OrbitPartition, classify, left_orbits, orbit_quotient
-from .simplicial import ShelfComplex, build_shelf_complex, components, simplicial_homology
+from .simplicial import ShelfComplex, build_shelf_complex, components, simplicial_groups
 from .snf import HomologyGroup, SmithForm, smith_normal_form
 from .tables import (
     BinaryOpTable,

@@ -20,6 +20,7 @@ the knot-theory literature calls the (n+1)-st rack homology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .intmat import SparseIntMatrix
 from .orbits import is_spindle
-from .snf import HomologyGroup, SmithForm, smith_normal_form
+from .snf import HomologyGroup, homology_from_boundaries
 from .tables import (
     BinaryOpTable,
     MultiShelf,
@@ -127,41 +128,34 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
     return SparseIntMatrix._raw(n ** degree, n ** (degree + 1), data)
 
 
+@dataclass(frozen=True, eq=False)
 class ChainComplex:
-    """A built complex: boundary matrices d_0..d_maxdeg plus cached SNFs.
+    """An immutable built complex: boundary matrices d_0..d_maxdeg."""
 
-    ``dims[d]`` is the rank of C_d.  Instances are immutable apart from the
-    Smith-form cache.
-    """
+    size: int
+    ops: tuple
+    coefficients: tuple
+    augmented: bool
+    boundaries: tuple
+    kind: str = "tuple"
 
-    def __init__(self, size, ops, coefficients, maxdeg, augmented,
-                 dims, boundaries, kind="tuple"):
-        self.size = size
-        self.ops = tuple(ops)
-        self.coefficients = tuple(coefficients)
-        self.maxdeg = maxdeg
-        self.augmented = augmented
-        self.dims = tuple(dims)
-        self.boundaries = tuple(boundaries)
-        self.kind = kind
-        self._snf_cache: dict[int, SmithForm] = {}
+    def __post_init__(self):
+        for name in ("ops", "coefficients", "boundaries"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def dim(self, degree: int) -> int:
-        if not 0 <= degree <= self.maxdeg:
-            raise DegreeOutOfRange(f"degree {degree} outside 0..{self.maxdeg}")
-        return self.dims[degree]
+    @property
+    def maxdeg(self) -> int:
+        return len(self.boundaries) - 1
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """dims[d] is the rank of C_d, the column count of d_d."""
+        return tuple(mat.ncols for mat in self.boundaries)
 
     def boundary(self, degree: int) -> SparseIntMatrix:
         if not 0 <= degree <= self.maxdeg:
             raise DegreeOutOfRange(f"degree {degree} outside 0..{self.maxdeg}")
         return self.boundaries[degree]
-
-    def snf(self, degree: int) -> SmithForm:
-        got = self._snf_cache.get(degree)
-        if got is None:
-            got = smith_normal_form(self.boundary(degree))
-            self._snf_cache[degree] = got
-        return got
 
     def __repr__(self):
         return (
@@ -199,36 +193,18 @@ def build_complex(ms, coefficients, maxdeg: int, augmented: bool = True,
         for d in range(maxdeg + 1)
     ]
     _check_dd(boundaries)
-    n = ms.size
-    return ChainComplex(
-        size=n,
-        ops=ms.ops,
-        coefficients=tuple(coefficients),
-        maxdeg=maxdeg,
-        augmented=augmented,
-        dims=[n ** (d + 1) for d in range(maxdeg + 1)],
-        boundaries=boundaries,
-    )
-
-
-def homology(cx: ChainComplex, degree: int) -> HomologyGroup:
-    """Free rank and torsion of H_degree.
-
-    Needs d_{degree+1}, so the complex must be built at least one degree
-    past the one requested.
-    """
-    if degree < 0 or degree + 1 > cx.maxdeg:
-        raise DegreeOutOfRange(
-            f"homology at degree {degree} needs boundaries through "
-            f"{degree + 1}, but the complex stops at {cx.maxdeg}"
-        )
-    upper = cx.snf(degree + 1)
-    rank = cx.dim(degree) - cx.snf(degree).rank - upper.rank
-    return HomologyGroup(degree, rank, upper.torsion())
+    return ChainComplex(ms.size, ms.ops, coefficients, augmented, boundaries)
 
 
 def homology_groups(cx: ChainComplex, through_degree: int) -> list[HomologyGroup]:
-    return [homology(cx, d) for d in range(through_degree + 1)]
+    """H_0..H_through_degree; H_d needs d_{d+1}, so the complex must be built
+    at least one degree past the last one requested."""
+    if not 0 <= through_degree <= cx.maxdeg - 1:
+        raise DegreeOutOfRange(
+            f"homology through degree {through_degree} needs boundaries "
+            f"0..{through_degree + 1}, but the complex stops at {cx.maxdeg}"
+        )
+    return homology_from_boundaries(cx.boundaries[:through_degree + 2])
 
 
 # kind -> (coefficients, augmented by default); "multi" differentiates with
@@ -304,9 +280,9 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
 
     # degree 0 has no degenerate tuples, so d_0 is the full one
     boundaries = [boundary_matrix(ms, coefficients, 0, augmented)]
-    bases = [degenerate_free_tuples(n, 0)]
+    basis = degenerate_free_tuples(n, 0)
     for d in range(1, maxdeg + 1):
-        rows = {basis_index(tup, n): r for r, tup in enumerate(bases[-1])}
+        rows = {basis_index(tup, n): r for r, tup in enumerate(basis)}
         # d(D) must live in D: check every degenerate generator's column.
         for tup in filter(_degenerate, product(range(n), repeat=d + 1)):
             if any(i in rows for i, _ in _assemble(ms, coefficients, (tup,))):
@@ -314,21 +290,13 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
                     f"d({tup}) has a nondegenerate term at degree {d} "
                     f"for coefficients {coefficients}"
                 )
-        bases.append(degenerate_free_tuples(n, d))
-        faces = _assemble(ms, coefficients, bases[d])
+        basis = degenerate_free_tuples(n, d)
+        faces = _assemble(ms, coefficients, basis)
         data = {(rows[i], j): v for (i, j), v in faces.items() if i in rows}
-        boundaries.append(SparseIntMatrix._raw(len(rows), len(bases[d]), data))
+        boundaries.append(SparseIntMatrix._raw(len(rows), len(basis), data))
     _check_dd(boundaries, "quotient ")
-    return ChainComplex(
-        size=n,
-        ops=ms.ops,
-        coefficients=coefficients,
-        maxdeg=maxdeg,
-        augmented=augmented,
-        dims=[len(bs) for bs in bases],
-        boundaries=boundaries,
-        kind="quandle-quotient",
-    )
+    return ChainComplex(n, ms.ops, coefficients, augmented, boundaries,
+                        kind="quandle-quotient")
 
 
 def left_normed_tuple_map(op: BinaryOpTable, degree: int, size: int) -> SparseIntMatrix:

@@ -21,12 +21,26 @@ from .chain import DEFAULT_MEMORY_CAP, as_multishelf, homology_groups, preset_co
 from .io import dump_report, finish_report, load_structure, structure_to_doc
 from .orbits import classify, left_orbits, orbit_quotient
 from .scans import scan_boolean, scan_example4, scan_growth, scan_hyperplane, torsion_hunt
-from .simplicial import build_shelf_complex, components, simplicial_homology
+from .simplicial import build_shelf_complex, components, simplicial_groups
 from .tables import MultiShelf, Shelf
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with a ParseError; subparsers inherit it."""
+
+    def error(self, message):
+        raise errors.ParseError(message)
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of the resource flags --jobs and --cap."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shelfhom",
         description="Exact integer homology of finite shelves and multi-shelves.",
     )
@@ -44,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     augmented.add_argument("--augmented", choices=["on", "off", "default"], default="default",
                            help="augmentation override; default depends on the kind")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", metavar="K", type=int, default=1,
+    jobs.add_argument("--jobs", metavar="K", type=_at_least_one, default=1,
                       help="worker processes for independent scan jobs")
 
     p = sub.add_parser("validate", parents=[common],
@@ -55,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", parents=[common, augmented],
                        help="shelf/rack/quandle/multi-shelf homology groups")
-    p.add_argument("--cap", metavar="BYTES", type=int, default=DEFAULT_MEMORY_CAP,
+    p.add_argument("--cap", metavar="BYTES", type=_at_least_one, default=DEFAULT_MEMORY_CAP,
                    help="basis-element cap guarding complex construction")
     p.add_argument("--kind", choices=["shelf", "rack", "quandle", "multi"],
                    default="shelf")
@@ -214,11 +228,6 @@ def cmd_simplicial(args):
     maxdim = (shelf.size - 1) if args.maxdeg is None else args.maxdeg
     cx = build_shelf_complex(shelf, maxdim)
     count, labels = components(cx)
-    if cx.maxdim >= shelf.size - 1:
-        top = cx.maxdim
-    else:
-        top = cx.maxdim - 1
-    groups = [simplicial_homology(cx, d) for d in range(top + 1)]
     return {
         "size": shelf.size,
         "maxdim": cx.maxdim,
@@ -226,7 +235,7 @@ def cmd_simplicial(args):
         "maximal_simplices": [list(s) for s in cx.maximal_simplices()],
         "components": count,
         "component_labels": list(labels),
-        "groups": _groups_doc(groups),
+        "groups": _groups_doc(simplicial_groups(cx)),
     }
 
 
@@ -286,8 +295,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = COMMANDS[args.command](args)
         report = finish_report(
             {"command": args.command, **payload}, no_timestamp=args.no_timestamp

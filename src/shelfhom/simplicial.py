@@ -23,7 +23,7 @@ from itertools import combinations, product
 from .errors import CapExceeded, DegreeOutOfRange
 from .intmat import SparseIntMatrix
 from .orbits import UnionFind
-from .snf import HomologyGroup, smith_normal_form
+from .snf import HomologyGroup, homology_from_boundaries
 from .tables import Shelf, suffix_products
 
 logger = logging.getLogger(__name__)
@@ -138,25 +138,11 @@ def simplicial_boundary_matrix(cx: ShelfComplex, degree: int) -> SparseIntMatrix
     return SparseIntMatrix._raw(len(rows), len(cols), data)
 
 
-def simplicial_homology(cx: ShelfComplex, degree: int) -> HomologyGroup:
-    """Unreduced simplicial homology; needs the complex built past degree.
-
-    The one exception: when the complex was built to dimension n - 1 there
-    genuinely are no higher simplices, so the boundary from above is the
-    zero map rather than a cap artifact, and the top degree is computable.
-    """
-    if degree < 0 or (degree + 1 > cx.maxdim and cx.maxdim < cx.size - 1):
-        raise DegreeOutOfRange(
-            f"homology at degree {degree} needs dimension {degree + 1}, "
-            f"but the complex was built to {cx.maxdim}"
-        )
-    if degree > cx.maxdim:
-        return HomologyGroup(degree, 0, ())
-    lower = smith_normal_form(simplicial_boundary_matrix(cx, degree))
-    if degree + 1 <= cx.maxdim:
-        upper = smith_normal_form(simplicial_boundary_matrix(cx, degree + 1))
-        upper_rank, torsion = upper.rank, upper.torsion()
-    else:
-        upper_rank, torsion = 0, ()
-    rank = cx.count(degree) - lower.rank - upper_rank
-    return HomologyGroup(degree, rank, torsion)
+def simplicial_groups(cx: ShelfComplex) -> list[HomologyGroup]:
+    """Unreduced simplicial homology H_0..H_{maxdim-1}, and H_maxdim too
+    when maxdim >= n - 1: then there genuinely are no higher simplices, so
+    the boundary from above the top is the zero map, not a cap artifact."""
+    boundaries = [simplicial_boundary_matrix(cx, d) for d in range(cx.maxdim + 1)]
+    if cx.maxdim >= cx.size - 1:
+        boundaries.append(SparseIntMatrix(cx.count(cx.maxdim), 0))
+    return homology_from_boundaries(boundaries)

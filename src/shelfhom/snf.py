@@ -81,6 +81,21 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def homology_from_boundaries(boundaries) -> list[HomologyGroup]:
+    """H_0..H_{k-1} of the complex with boundaries d_0..d_k.
+
+    rank H_d = dim C_d - rank d_d - rank d_{d+1}, where dim C_d is the column
+    count of d_d, and the torsion of H_d is that of d_{d+1}.  Each boundary
+    is reduced exactly once.
+    """
+    forms = [smith_normal_form(mat) for mat in boundaries]
+    return [
+        HomologyGroup(d, boundaries[d].ncols - forms[d].rank - forms[d + 1].rank,
+                      forms[d + 1].torsion())
+        for d in range(len(forms) - 1)
+    ]
+
+
 def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}

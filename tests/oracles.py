@@ -202,3 +202,30 @@ def dense_quandle_groups(rows, maxdeg):
         rank = len(_nondegenerate(n, d)) - lower_rank - len(upper)
         out.append((rank, tuple(f for f in upper if f > 1)))
     return out
+
+
+def dense_simplicial_groups(simplices, size):
+    """Unreduced simplicial homology from the sorted simplices, densely.
+
+    ``simplices[d]`` lists the d-simplices as sorted vertex tuples, and
+    (v_0..v_d) has boundary sum_i (-1)^i (v_0..v_d without v_i).  Each
+    boundary is reduced with the dense Smith oracle.  Returns
+    [(rank, torsion), ...] for every degree whose upper boundary is known:
+    all of them when the simplices reach dimension size - 1 (a simplex on
+    size vertices is the largest), else all but the top one.
+    """
+    factors = [()]  # degree 0 maps to nothing
+    for d in range(1, len(simplices)):
+        row_of = {s: i for i, s in enumerate(simplices[d - 1])}
+        mat = [[0] * len(simplices[d]) for _ in simplices[d - 1]]
+        for j, s in enumerate(simplices[d]):
+            for i in range(d + 1):
+                mat[row_of[s[:i] + s[i + 1:]]][j] += -1 if i % 2 else 1
+        factors.append(dense_smith_factors(mat))
+    if len(simplices) >= size:
+        factors.append(())  # nothing lies above the top
+    return [
+        (len(simplices[d]) - len(factors[d]) - len(factors[d + 1]),
+         tuple(f for f in factors[d + 1] if f > 1))
+        for d in range(len(factors) - 1)
+    ]

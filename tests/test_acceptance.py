@@ -30,7 +30,7 @@ from shelfhom.families import (
 from shelfhom.intmat import SparseIntMatrix
 from shelfhom.orbits import classify, has_left_absorbing_element, left_orbits
 from shelfhom.scans import scan_boolean, scan_growth, scan_hyperplane, torsion_hunt
-from shelfhom.simplicial import build_shelf_complex, components, simplicial_homology
+from shelfhom.simplicial import build_shelf_complex, components, simplicial_groups
 from shelfhom.snf import smith_normal_form
 from shelfhom.tables import (
     BinaryOpTable,
@@ -278,7 +278,7 @@ def test_criterion_10_simplicial_example():
         )
         scx = build_shelf_complex(shelf)
         assert components(scx)[0] == 2
-        h1 = simplicial_homology(scx, 1)
+        h1 = simplicial_groups(scx)[1]
         assert (h1.rank, h1.torsion) == (1, ())
 
 

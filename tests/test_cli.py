@@ -272,12 +272,36 @@ def test_scan_boolean_rejects_negative_radius(capsys):
 ], ids=["validate-cap", "simplicial-cap", "homology-jobs", "orbits-augmented"])
 def test_flag_of_another_subcommand_is_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, PAPER_DOC)
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--input", path, "--no-timestamp"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
+    code, out, err = run(capsys, *argv, "--input", path, "--no-timestamp")
+    assert code == 2
     assert out == ""
-    assert "unrecognized arguments: " + argv[1] in err
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"unrecognized arguments: {argv[1]} {argv[2]}",
+    }
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["torsion-hunt", "--size", "3", "--jobs", "0"], "--jobs", "0"),
+    (["scan", "--which", "growth", "--jobs", "-1"], "--jobs", "-1"),
+    (["homology", "--cap", "0"], "--cap", "0"),
+], ids=["hunt-jobs-0", "scan-jobs-negative", "homology-cap-0"])
+def test_resource_flag_below_one_is_exit_2(tmp_path, capsys, argv, flag, value):
+    path = write(tmp_path, PAPER_DOC)
+    code, out, err = run(capsys, *argv, "--input", path, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"argument {flag}: expected an integer >= 1, got '{value}'",
+    }
+
+
+def test_help_still_exits_0_with_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: shelfhom homology")
 
 
 def test_torsion_hunt_command(tmp_path, capsys):
@@ -346,6 +370,47 @@ def test_reports_are_byte_identical_without_timestamp(tmp_path, capsys, kind, au
         )
         assert code == 0
     assert outs[0].read_text() == outs[1].read_text() == expected
+
+
+# The --no-timestamp simplicial report, pinned: (document, --maxdeg or None,
+# maxdim, simplex counts, component labels, maximal simplices, and the ranks
+# of H_0, H_1, ...; every group here is torsion-free).  Past n - 1 the top
+# groups are computed; below it the groups stop one degree short of maxdim.
+PAPER_SIMPLICES = [[3], [0, 1], [0, 2], [1, 2]]
+PINNED_SIMPLICIAL = {
+    "paper-default": (PAPER_DOC, None, 3, [4, 3, 0, 0], [0, 0, 0, 1],
+                      PAPER_SIMPLICES, [2, 1, 0, 0]),
+    "paper-maxdeg-0": (PAPER_DOC, "0", 0, [4], [0, 1, 2, 3],
+                       [[0], [1], [2], [3]], []),
+    "paper-maxdeg-1": (PAPER_DOC, "1", 1, [4, 3], [0, 0, 0, 1],
+                       PAPER_SIMPLICES, [2]),
+    "paper-maxdeg-5": (PAPER_DOC, "5", 5, [4, 3, 0, 0, 0, 0], [0, 0, 0, 1],
+                       PAPER_SIMPLICES, [2, 1, 0, 0, 0, 0]),
+    "one-element": ({"size": 1, "ops": [[[0]]]}, None, 0, [1], [0], [[0]], [1]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SIMPLICIAL))
+def test_simplicial_report_is_pinned(tmp_path, capsys, case):
+    doc, maxdeg, maxdim, counts, labels, maximal, ranks = PINNED_SIMPLICIAL[case]
+    expected = json.dumps({
+        "command": "simplicial",
+        "component_labels": labels,
+        "components": len(set(labels)),
+        "groups": [
+            {"degree": d, "rank": rank, "torsion": []}
+            for d, rank in enumerate(ranks)
+        ],
+        "maxdim": maxdim,
+        "maximal_simplices": maximal,
+        "schema": 1,
+        "simplex_counts": counts,
+        "size": doc["size"],
+    }, indent=2, sort_keys=True) + "\n"
+    flags = [] if maxdeg is None else ["--maxdeg", maxdeg]
+    code, out, err = run(capsys, "simplicial", "--input", write(tmp_path, doc),
+                         *flags, "--no-timestamp")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_timestamp_present_by_default(tmp_path, capsys):

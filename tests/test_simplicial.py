@@ -2,6 +2,9 @@ import logging
 
 import pytest
 
+import oracles
+from shelfhom import snf
+from shelfhom.chain import homology_groups, preset_complex
 from shelfhom.errors import CapExceeded, DegreeOutOfRange
 from shelfhom.families import RightTrivialOp, construct_family
 from shelfhom.orbits import left_orbits
@@ -10,7 +13,7 @@ from shelfhom.simplicial import (
     build_shelf_complex,
     components,
     simplicial_boundary_matrix,
-    simplicial_homology,
+    simplicial_groups,
 )
 from shelfhom.tables import BinaryOpTable, Shelf, validate_shelf
 
@@ -36,9 +39,8 @@ def test_paper_example_components_and_h1():
     count, labels = components(scx)
     assert count == 2
     assert labels == (0, 0, 0, 1)
-    h1 = simplicial_homology(scx, 1)
+    h0, h1 = simplicial_groups(scx)[:2]
     assert (h1.rank, h1.torsion) == (1, ())
-    h0 = simplicial_homology(scx, 0)
     assert (h0.rank, h0.torsion) == (2, ())
 
 
@@ -53,7 +55,7 @@ def test_right_trivial_has_no_edges():
 def test_single_point_complex():
     scx = build_shelf_complex(validate_shelf(BinaryOpTable.from_rows([[0]])))
     assert scx.simplices[0] == ((0,),)
-    h0 = simplicial_homology(scx, 0)
+    h0 = simplicial_groups(scx)[0]
     assert (h0.rank, h0.torsion) == (1, ())
 
 
@@ -68,8 +70,9 @@ def test_full_triangle_is_contractible():
             ((0, 1, 2),),
         ),
     )
-    assert simplicial_homology(scx, 1).is_trivial()
-    assert simplicial_homology(scx, 0).rank == 1
+    h0, h1 = simplicial_groups(scx)[:2]
+    assert h1.is_trivial()
+    assert h0.rank == 1
 
 
 def test_meet_shelf_has_a_two_cell():
@@ -123,12 +126,51 @@ def test_missing_face_triggers_warning_and_insertion(caplog):
 
 
 def test_degree_window_guard():
+    # H_1 needs dimension 2, but the complex is built to 1 < n - 1
     scx = build_shelf_complex(PAPER_4x4, maxdim=1)
-    simplicial_homology(scx, 0)
+    assert [g.degree for g in simplicial_groups(scx)] == [0]
     with pytest.raises(DegreeOutOfRange):
-        simplicial_homology(scx, 1)  # needs dimension 2 but built to 1 < n-1
+        simplicial_boundary_matrix(scx, 2)
 
 
 def test_tuple_cap():
     with pytest.raises(CapExceeded):
         build_shelf_complex(PAPER_4x4, maxdim=3, cap=10)
+
+
+def test_groups_match_the_dense_oracle(classes4, labelled_by_size):
+    shelves = [Shelf(t) for t in labelled_by_size[3]]
+    shelves += [Shelf(k.table()) for k in classes4]
+    for shelf in shelves:
+        for maxdim in (shelf.size - 1, 1):
+            scx = build_shelf_complex(shelf, maxdim)
+            got = [(g.rank, g.torsion) for g in simplicial_groups(scx)]
+            assert got == oracles.dense_simplicial_groups(scx.simplices, shelf.size)
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """Every matrix handed to snf.smith_normal_form, in call order."""
+    seen = []
+    original = snf.smith_normal_form
+
+    def counting(mat):
+        seen.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counting)
+    return seen
+
+
+def test_each_boundary_is_reduced_once(reduced):
+    scx = build_shelf_complex(PAPER_4x4)
+    assert len(simplicial_groups(scx)) == 4
+    # d_0..d_3 plus the zero boundary above the top
+    assert len(reduced) == 5
+    reduced.clear()
+    rack3 = validate_shelf(BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3))
+    for kind in ("shelf", "rack", "quandle"):
+        cx = preset_complex(rack3, kind, 3)
+        assert len(homology_groups(cx, 3)) == 4
+        assert [id(m) for m in reduced] == [id(m) for m in cx.boundaries]
+        reduced.clear()
