@@ -65,7 +65,8 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
     """Collect the distinct-suffix-product simplices up to maxdim.
 
     maxdim defaults to n - 1 (a simplex on n vertices cannot be larger, and
-    generating tuples longer than n always repeat a product).
+    generating tuples longer than n always repeat a product), so only
+    dimensions up to n - 1 are enumerated; the higher ones stay empty.
     """
     n = shelf.size
     if maxdim is None:
@@ -78,7 +79,7 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
         )
     table = shelf.table
     found: list[set] = [set() for _ in range(maxdim + 1)]
-    for d in range(maxdim + 1):
+    for d in range(min(maxdim, n - 1) + 1):
         bucket = found[d]
         for tup in product(range(n), repeat=d + 1):
             verts = suffix_products(table, tup)

@@ -14,13 +14,22 @@ value is reduced instead, with divisibility of the whole remaining submatrix
 enforced before it is committed, so the committed pivots form the
 invariant-factor chain directly.
 
+Each unit pivot (s, t) of a boundary d_k taken before the first non-unit
+step is an elementary reduction of the chain complex (Kaczynski, Mrozek and
+Slusarek 1998): the column operations that clear row s change only row t of
+the next boundary d_{k+1}, and d_k o d_{k+1} = 0 makes that row zero in the
+new basis.  So homology_from_boundaries walks d_0, d_1, ... upward and,
+before reducing d_{k+1}, drops the rows that d_k's unit pivots paired; the
+factors do not change.  The row pass of a non-unit step also changes rows of
+d_{k+1} that stay, so the pairing stops at the first such step.
+
 Only the factors are produced; the unimodular transforms are never needed
 here.  All arithmetic is on Python ints, so nothing overflows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .intmat import SparseIntMatrix
@@ -28,9 +37,14 @@ from .intmat import SparseIntMatrix
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Invariant factors s1 | s2 | ... | sr of an integer matrix."""
+    """Invariant factors s1 | s2 | ... | sr of an integer matrix.
+
+    paired holds the columns of the unit pivots taken before the first
+    non-unit step; it is a by-product of the elimination, not part of the
+    form, so it takes no part in == or repr."""
 
     factors: tuple[int, ...]
+    paired: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
         prev = None
@@ -86,9 +100,21 @@ def homology_from_boundaries(boundaries) -> list[HomologyGroup]:
 
     rank H_d = dim C_d - rank d_d - rank d_{d+1}, where dim C_d is the column
     count of d_d, and the torsion of H_d is that of d_{d+1}.  Each boundary
-    is reduced exactly once.
+    is reduced exactly once, from d_0 upward, and before its reduction
+    d_{d+1} loses the rows that d_d's unit pivots paired (see the module
+    docstring); it keeps its shape, so its factors and the formula are
+    unchanged.  This needs d_d o d_{d+1} = 0, which the chain builders check
+    and a face-closed simplicial complex satisfies by construction.
     """
-    forms = [smith_normal_form(mat) for mat in boundaries]
+    forms = []
+    paired = frozenset()
+    for mat in boundaries:
+        if paired:
+            mat = SparseIntMatrix._raw(mat.nrows, mat.ncols, {
+                ij: v for ij, v in mat.data.items() if ij[0] not in paired
+            })
+        forms.append(smith_normal_form(mat))
+        paired = forms[-1].paired
     return [
         HomologyGroup(d, boundaries[d].ncols - forms[d].rank - forms[d + 1].rank,
                       forms[d + 1].torsion())
@@ -102,7 +128,8 @@ def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:
     for (i, j), v in mat.data.items():
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
-    return SmithForm(tuple(_eliminate(rows, cols)))
+    pivots, paired = _eliminate(rows, cols)
+    return SmithForm(tuple(pivots), frozenset(paired))
 
 
 def _cheapest_unit(r, cols):
@@ -174,8 +201,11 @@ def _next_unit(rows, cols, units, live):
 
 
 def _eliminate(rows, cols):
-    """Eliminate the matrix completely; returns the pivots."""
+    """Eliminate the matrix completely; returns the pivots and the columns
+    of the unit pivots taken before the first non-unit step."""
     pivots = []
+    paired = []
+    pairing = True
     units = []
     live = {}
     for i, r in rows.items():
@@ -197,7 +227,12 @@ def _eliminate(rows, cols):
                 if k != pi:
                     _row_axpy(rows, cols, k, rp, -rows[k].pop(pj) * pv, units, live)
             pivots.append(1)
+            if pairing:
+                paired.append(pj)
             continue
+        # the row pass below does column operations, which change rows of
+        # the next boundary outside the paired ones
+        pairing = False
         best = None
         for i, r in rows.items():
             for j, v in r.items():
@@ -259,4 +294,4 @@ def _eliminate(rows, cols):
         pivots.append(rows[pi][pj])
         del rows[pi]
         del cols[pj]
-    return pivots
+    return pivots, paired

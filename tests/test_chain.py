@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from shelfhom import snf
 from shelfhom.chain import (
     basis_index,
     boundary_matrix,
@@ -303,6 +304,32 @@ def test_quandle_dihedral3_matches_nosaka_through_degree_7():
     want = [(1, ())] + [(0, (3,) * f[d + 1]) for d in range(1, 8)]
     groups = preset_homology(DIHEDRAL3, "quandle", 7)
     assert [(g.rank, g.torsion) for g in groups] == want
+
+
+def test_quandle_dihedral5_matches_nosaka_through_degree_4(monkeypatch):
+    # H^Q(R_5) through degree 4 is Z, 0, Z/5, Z/5, Z/5 (Nosaka 2013).  The
+    # walk hands d_5 (1280 x 5120) to the SNF without the rows that d_4's
+    # unit pivots paired; that matrix must have the full d_5's factors.
+    handed = []
+    original = snf.smith_normal_form
+
+    def recording(mat):
+        handed.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(snf, "smith_normal_form", recording)
+    dihedral5 = validate_shelf(
+        BinaryOpTable.from_function(5, lambda x, y: (2 * y - x) % 5)
+    )
+    cx = preset_complex(dihedral5, "quandle", 4)
+    groups = homology_groups(cx, 4)
+    assert [(g.rank, g.torsion) for g in groups] == [
+        (1, ()), (0, ()), (0, (5,)), (0, (5,)), (0, (5,)),
+    ]
+    reduced, full = handed[5], cx.boundaries[5]
+    assert (reduced.shape, full.shape) == ((1280, 5120), (1280, 5120))
+    assert reduced.nnz < full.nnz
+    assert original(reduced) == original(full)
 
 
 def _random_multishelves(rng, labelled_by_size, count):

@@ -387,6 +387,11 @@ PINNED_SIMPLICIAL = {
     "paper-maxdeg-5": (PAPER_DOC, "5", 5, [4, 3, 0, 0, 0, 0], [0, 0, 0, 1],
                        PAPER_SIMPLICES, [2, 1, 0, 0, 0, 0]),
     "one-element": ({"size": 1, "ops": [[[0]]]}, None, 0, [1], [0], [[0]], [1]),
+    # past n - 1 no simplex exists, so these deep builds are quick and empty
+    "paper-maxdeg-9": (PAPER_DOC, "9", 9, [4, 3] + [0] * 8, [0, 0, 0, 1],
+                       PAPER_SIMPLICES, [2, 1] + [0] * 8),
+    "two-element-maxdeg-21": ({"size": 2, "ops": [[[0, 0], [0, 1]]]}, "21", 21,
+                              [2, 1] + [0] * 20, [0, 0], [[0, 1]], [1] + [0] * 21),
 }
 
 

@@ -168,9 +168,16 @@ def test_each_boundary_is_reduced_once(reduced):
     # d_0..d_3 plus the zero boundary above the top
     assert len(reduced) == 5
     reduced.clear()
+    # one call per boundary, in order: d_0 as it is, and each later boundary
+    # in its own shape without the rows that the unit pivots below paired
     rack3 = validate_shelf(BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3))
     for kind in ("shelf", "rack", "quandle"):
         cx = preset_complex(rack3, kind, 3)
         assert len(homology_groups(cx, 3)) == 4
-        assert [id(m) for m in reduced] == [id(m) for m in cx.boundaries]
+        assert len(reduced) == len(cx.boundaries)
+        assert reduced[0] is cx.boundaries[0]
+        for handed, full in zip(reduced, cx.boundaries):
+            assert handed.shape == full.shape
+            assert handed.data.items() <= full.data.items()
+        assert sum(m.nnz for m in reduced) < sum(m.nnz for m in cx.boundaries)
         reduced.clear()

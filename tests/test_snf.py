@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from shelfhom.chain import boundary_matrix
 from shelfhom.intmat import SparseIntMatrix, identity_matrix
-from shelfhom.snf import HomologyGroup, SmithForm, smith_normal_form
+from shelfhom.snf import (
+    HomologyGroup,
+    SmithForm,
+    homology_from_boundaries,
+    smith_normal_form,
+)
 from shelfhom.tables import BinaryOpTable, MultiShelf, identity_op
 
 
@@ -235,6 +240,110 @@ def test_factors_invariant_under_unimodular_operations_on_a_boundary():
         scrambled = _scramble(rows, ops)
         assert snf_dense(scrambled).factors == factors, seed
         assert oracles.dense_smith_factors(scrambled) == factors, seed
+
+
+def _invariant_factors(orders):
+    """The invariant factors of the direct sum of the Z/m for m in orders."""
+    exponents = {}
+    for m in orders:
+        p = 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    length = max(map(len, exponents.values()), default=0)
+    factors = [1] * length
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es)):
+            factors[length - len(es) + i] *= p ** e
+    return tuple(factors)
+
+
+def _random_complex(rng, top):
+    """Boundaries d_0..d_top of a direct sum of elementary complexes, Z in
+    one degree or Z --m--> Z between two, with every C_k conjugated by a
+    random unimodular matrix; and the groups H_0..H_{top-1} it must have.
+
+    C_{-1} is the target of d_0, so a block there makes d_0 nonzero."""
+    dims = {k: 0 for k in range(-1, top + 1)}
+    free = [0] * top
+    orders = [[] for _ in range(top)]
+    maps = []  # (k, row in C_{k-1}, column in C_k, m)
+    for _ in range(rng.randint(1, 9)):
+        if rng.random() < 0.3:
+            k = rng.randint(-1, top)
+            if 0 <= k < top:
+                free[k] += 1
+            dims[k] += 1
+        else:
+            k = rng.randint(0, top)
+            m = rng.choice((1, 1, 2, 3, 4, 6))
+            maps.append((k, dims[k - 1], dims[k], m))
+            if m > 1 and k >= 1:
+                orders[k - 1].append(m)
+            dims[k - 1] += 1
+            dims[k] += 1
+    d = {k: [[0] * dims[k] for _ in range(dims[k - 1])] for k in range(top + 1)}
+    for k, i, j, m in maps:
+        d[k][i][j] = m
+    # a basis change U on C_k acts on d_{k+1} by rows as U and on d_k by
+    # columns as U^-1: row t += c row s there is column s -= c column t here
+    for k in range(-1, top + 1):
+        n = dims[k]
+        for _ in range(4 * n if n > 1 else 0):
+            s, t = rng.sample(range(n), 2)
+            kind = rng.choice(("add", "add", "swap", "negate"))
+            c = rng.choice((-2, -1, 1, 2))
+            if k + 1 <= top:
+                rows = d[k + 1]
+                if kind == "add":
+                    rows[t] = [x + c * y for x, y in zip(rows[t], rows[s])]
+                elif kind == "swap":
+                    rows[s], rows[t] = rows[t], rows[s]
+                else:
+                    rows[s] = [-x for x in rows[s]]
+            if k >= 0:
+                for row in d[k]:
+                    if kind == "add":
+                        row[s] -= c * row[t]
+                    elif kind == "swap":
+                        row[s], row[t] = row[t], row[s]
+                    else:
+                        row[s] = -row[s]
+    boundaries = [SparseIntMatrix.from_dense(d[k], dims[k]) for k in range(top + 1)]
+    groups = [HomologyGroup(k, free[k], _invariant_factors(orders[k]))
+              for k in range(top)]
+    return boundaries, groups
+
+
+def test_walk_returns_the_groups_of_a_conjugated_direct_sum():
+    # an oracle that shares no code with the walk: the groups are read off
+    # the elementary blocks, and the conjugation hides them from the SNF
+    assert _invariant_factors((2, 3, 4, 6, 6)) == (2, 6, 6, 12)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        boundaries, groups = _random_complex(rng, rng.randint(1, 4))
+        for lower, upper in zip(boundaries, boundaries[1:]):
+            assert lower.matmul(upper).is_zero()
+        assert homology_from_boundaries(boundaries) == groups, boundaries
+
+
+def test_walk_stops_pairing_at_the_first_non_unit_step():
+    # d_1 has no unit entry, so its elimination starts with a non-unit
+    # pivot, whose row pass mixes the rows of d_2 by column operations.
+    # Its kernel is spanned by (0, 2, -3), which is d_2, so H_1 = 0; pairing
+    # the unit pivots taken after that step would drop a row of d_2 and
+    # leave Z/3.
+    d1 = SparseIntMatrix.from_dense([[3, 3, 2], [4, 3, 2]])
+    d2 = SparseIntMatrix.from_dense([[0], [2], [-3]])
+    assert d1.matmul(d2).is_zero()
+    assert homology_from_boundaries([SparseIntMatrix(0, 2), d1, d2]) == [
+        HomologyGroup(0, 0), HomologyGroup(1, 0),
+    ]
 
 
 def test_triplet_csv_round_trip():
