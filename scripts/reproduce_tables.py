@@ -31,7 +31,7 @@ def profile_table(size, maxdeg):
         profiles[ranks] += 1
         orbit_counts.setdefault(ranks, left_orbits(shelf).count)
     print(f"homology through degree {maxdeg} in {time.time() - t0:.1f}s")
-    width = max(len(str(list(p))) for p in profiles)
+    width = max((len(str(list(p))) for p in profiles), default=0)
     for ranks, count in sorted(profiles.items()):
         r = orbit_counts[ranks]
         regular = tuple((r - 1) * size ** d for d in range(maxdeg + 1))
@@ -46,7 +46,7 @@ def main():
                         help="only this carrier size (default: 3 then 4)")
     parser.add_argument("--maxdeg", type=int, default=3)
     args = parser.parse_args()
-    sizes = [args.size] if args.size else [3, 4]
+    sizes = [args.size] if args.size is not None else [3, 4]
     for size in sizes:
         profile_table(size, args.maxdeg)
 

@@ -73,7 +73,7 @@ def canonical_form(table: BinaryOpTable) -> IsoClassKey:
     return IsoClassKey(best)
 
 
-def enumerate_shelf_tables(n: int, limit: int = ENUMERATION_SIZE_LIMIT):
+def enumerate_shelf_tables(n: int):
     """All labelled self-distributive tables on {0..n-1}, in lex order.
 
     Backtracking fills entries row-major; after each placement, every
@@ -83,9 +83,9 @@ def enumerate_shelf_tables(n: int, limit: int = ENUMERATION_SIZE_LIMIT):
     """
     if n < 0:
         raise OutOfRange(f"carrier size {n} < 0")
-    if n > limit:
+    if n > ENUMERATION_SIZE_LIMIT:
         raise PracticalSizeLimit(
-            f"enumeration of size {n} exceeds the guard {limit}"
+            f"enumeration of size {n} exceeds the guard {ENUMERATION_SIZE_LIMIT}"
         )
     if n == 0:
         return []
@@ -150,14 +150,11 @@ def enumerate_shelves(n: int) -> list[IsoClassKey]:
     member met in each class is its canonical table; the remaining members
     are skipped through a set of all relabelled images.
     """
-    if n > ENUMERATION_SIZE_LIMIT:
-        raise PracticalSizeLimit(
-            f"enumeration of size {n} exceeds the guard {ENUMERATION_SIZE_LIMIT}"
-        )
+    tables = enumerate_shelf_tables(n)
     keys = []
     seen: set[tuple[int, ...]] = set()
     perms = list(permutations(range(n)))
-    for table in enumerate_shelf_tables(n):
+    for table in tables:
         flat = table.flat()
         if flat in seen:
             continue

@@ -118,8 +118,8 @@ def _need_shelf(args, who="this command") -> Shelf:
     return structure
 
 
-def _augmented_flag(args, default=None):
-    return {"on": True, "off": False}.get(args.augmented, default)
+def _augmented_flag(args):
+    return {"on": True, "off": False}.get(args.augmented)
 
 
 def _flags_doc(shelf) -> dict:
@@ -254,33 +254,29 @@ def cmd_enumerate(args):
 
 
 def cmd_scan(args):
-    maxdeg = args.maxdeg
+    # pass only the options the user gave; each scan declares its defaults
+    given = {"jobs": args.jobs}
+    if args.maxdeg is not None:
+        given["maxdeg"] = args.maxdeg
+    if args.which in ("boolean", "hyperplane") and args.augmented != "default":
+        given["augmented"] = _augmented_flag(args)
     if args.which == "growth":
-        report = scan_growth(args.size, 4 if maxdeg is None else maxdeg,
-                             jobs=args.jobs)
+        report = scan_growth(args.size, **given)
     elif args.which == "example4":
-        report = scan_example4(args.size, 3 if maxdeg is None else maxdeg,
-                               jobs=args.jobs)
+        report = scan_example4(args.size, **given)
     elif args.which == "boolean":
-        report = scan_boolean(
-            args.omega, radius=args.radius,
-            maxdeg=3 if maxdeg is None else maxdeg,
-            augmented=_augmented_flag(args, True), jobs=args.jobs,
-        )
+        report = scan_boolean(args.omega, radius=args.radius, **given)
     else:
         report = scan_hyperplane(
-            as_multishelf(_need_input(args)), samples=args.samples, bound=args.bound,
-            maxdeg=2 if maxdeg is None else maxdeg, seed=args.seed,
-            augmented=_augmented_flag(args, True), jobs=args.jobs,
+            as_multishelf(_need_input(args)), samples=args.samples,
+            bound=args.bound, seed=args.seed, **given,
         )
     return report.to_doc()
 
 
 def cmd_torsion_hunt(args):
-    report = torsion_hunt(
-        args.size, 1 if args.maxdeg is None else args.maxdeg, jobs=args.jobs
-    )
-    return report.to_doc()
+    given = {} if args.maxdeg is None else {"maxdeg": args.maxdeg}
+    return torsion_hunt(args.size, jobs=args.jobs, **given).to_doc()
 
 
 COMMANDS = {

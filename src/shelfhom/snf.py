@@ -4,24 +4,25 @@ The boundary matrices this package produces are large but very sparse with
 almost all entries +-1, so the computation is one elimination loop.  While a
 unit entry remains, it pivots on the unit of least Markowitz cost
 (row length - 1) * (column length - 1), which bounds the fill-in the pivot
-can cause; a unit alone in its row or column costs 0 and causes none.  A unit
-divides everything, so it can be committed in any order without breaking the
-invariant-factor chain.  The unit candidates are a heap of rows with one
-live entry per row, keyed by the cost of its cheapest unit when queued; a row
-is queued again when a row operation creates a cheaper unit in it, and it is
-rescanned when popped.  Once no unit is left, the pivot of least absolute
-value is reduced instead, with divisibility of the whole remaining submatrix
-enforced before it is committed, so the committed pivots form the
-invariant-factor chain directly.
+can cause; a unit alone in its row or column costs 0 and causes none.  The
+unit candidates are a heap of rows with one live entry per row, keyed by the
+cost of its cheapest unit when queued; a row is queued again when a row
+operation creates a cheaper unit in it, and it is rescanned when popped.
+Once no unit is left, Euclid's algorithm moves from an entry of least
+absolute value to a pivot that divides its row and column.  Both kinds of
+pivot leave the matrix through the same step, which puts the pivot's
+absolute value on a diagonal equivalent to the matrix; a pairwise gcd/lcm
+pass over the diagonal's entries above 1 then gives the invariant factors
+(Newman, Integral Matrices, 1972, ch. II).
 
-Each unit pivot (s, t) of a boundary d_k taken before the first non-unit
-step is an elementary reduction of the chain complex (Kaczynski, Mrozek and
+Each unit pivot (s, t) of a boundary d_k taken before the first Euclid step
+is an elementary reduction of the chain complex (Kaczynski, Mrozek and
 Slusarek 1998): the column operations that clear row s change only row t of
 the next boundary d_{k+1}, and d_k o d_{k+1} = 0 makes that row zero in the
 new basis.  So homology_from_boundaries walks d_0, d_1, ... upward and,
 before reducing d_{k+1}, drops the rows that d_k's unit pivots paired; the
-factors do not change.  The row pass of a non-unit step also changes rows of
-d_{k+1} that stay, so the pairing stops at the first such step.
+factors do not change.  The column operations of a Euclid step also change
+rows of d_{k+1} that stay, so the pairing stops at the first such step.
 
 Only the factors are produced; the unimodular transforms are never needed
 here.  All arithmetic is on Python ints, so nothing overflows.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import gcd, lcm
 
 from .intmat import SparseIntMatrix
 
@@ -40,7 +42,7 @@ class SmithForm:
     """Invariant factors s1 | s2 | ... | sr of an integer matrix.
 
     paired holds the columns of the unit pivots taken before the first
-    non-unit step; it is a by-product of the elimination, not part of the
+    Euclid step; it is a by-product of the elimination, not part of the
     form, so it takes no part in == or repr."""
 
     factors: tuple[int, ...]
@@ -128,8 +130,14 @@ def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:
     for (i, j), v in mat.data.items():
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
-    pivots, paired = _eliminate(rows, cols)
-    return SmithForm(tuple(pivots), frozenset(paired))
+    diag, paired = _eliminate(rows, cols)
+    # (a, b) -> (gcd, lcm) on pairs of the diagonal keeps it equivalent, and
+    # one pass over all pairs leaves the invariant-factor chain; units stay 1
+    rest = [d for d in diag if d > 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            rest[i], rest[j] = gcd(rest[i], rest[j]), lcm(rest[i], rest[j])
+    return SmithForm((1,) * (len(diag) - len(rest)) + tuple(rest), frozenset(paired))
 
 
 def _cheapest_unit(r, cols):
@@ -200,10 +208,43 @@ def _next_unit(rows, cols, units, live):
     return None
 
 
+def _euclid(rows, cols, units, live):
+    """The pivot of a step with no unit left: from an entry of least
+    absolute value, move to the least remainder in the pivot's column, then
+    in its row, until the pivot divides both (Euclid's algorithm, run by row
+    and column operations).  Returns it with its column cleared."""
+    _, pi, pj = min((abs(v), i, j) for i, r in rows.items() for j, v in r.items())
+    while True:
+        rp = rows[pi]
+        pv = rp[pj]
+        for k in cols[pj] - {pi}:
+            q = rows[k][pj] // pv
+            if q:
+                _row_axpy(rows, cols, k, rp, -q, units, live)
+        rest = [(abs(rows[k][pj]), k) for k in cols[pj] if k != pi]
+        if rest:
+            pi = min(rest)[1]
+            continue
+        # column pj is the pivot alone now, so the column operations that
+        # reduce row pi modulo the pivot touch nothing else
+        for j in [j for j in rp if j != pj]:
+            nb = rp[j] % pv
+            if nb:
+                rp[j] = nb
+            else:
+                del rp[j]
+                cols[j].discard(pi)
+        rest = [(abs(v), j) for j, v in rp.items() if j != pj]
+        if not rest:
+            return pi, pj
+        pj = min(rest)[1]
+
+
 def _eliminate(rows, cols):
-    """Eliminate the matrix completely; returns the pivots and the columns
-    of the unit pivots taken before the first non-unit step."""
-    pivots = []
+    """Eliminate the matrix completely; returns the absolute values of the
+    pivots, a diagonal matrix equivalent to it, and the columns of the unit
+    pivots taken before the first Euclid step."""
+    diag = []
     paired = []
     pairing = True
     units = []
@@ -215,83 +256,23 @@ def _eliminate(rows, cols):
     while rows:
         unit = _next_unit(rows, cols, units, live)
         if unit is not None:
-            # clear column pj with row operations; then column pj is the
-            # pivot alone, and the column operations that clear row pi
-            # touch nothing else
             pi, pj = unit
-            rp = rows.pop(pi)
-            pv = rp.pop(pj)
-            for j in rp:
-                cols[j].discard(pi)
-            for k in cols.pop(pj):
-                if k != pi:
-                    _row_axpy(rows, cols, k, rp, -rows[k].pop(pj) * pv, units, live)
-            pivots.append(1)
             if pairing:
                 paired.append(pj)
-            continue
-        # the row pass below does column operations, which change rows of
-        # the next boundary outside the paired ones
-        pairing = False
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                cand = (v if v > 0 else -v, i, j)
-                if best is None or cand < best:
-                    best = cand
-        _, pi, pj = best
-        while True:
-            rp = rows[pi]
-            pv = rp[pj]
-            if pv < 0:
-                for j in rp:
-                    rp[j] = -rp[j]
-                pv = -pv
-            # column pass: clear column pj with row operations
-            smallest = None
-            for k in sorted(cols[pj]):
-                if k == pi:
-                    continue
-                q = rows[k][pj] // pv
-                if q:
-                    _row_axpy(rows, cols, k, rp, -q, units, live)
-                res = rows.get(k, {}).get(pj, 0)
-                if res and (smallest is None or (res, k) < smallest):
-                    smallest = (res, k)
-            if smallest is not None:
-                pi = smallest[1]
-                continue
-            # row pass: column pj is now the pivot alone, so column
-            # operations only touch row pi
-            smallest = None
-            for j in [j for j in rp if j != pj]:
-                q = rp[j] // pv
-                if q:
-                    nb = rp[j] - q * pv
-                    if nb:
-                        rp[j] = nb
-                    else:
-                        del rp[j]
-                        cols[j].discard(pi)
-                nb = rp.get(j, 0)
-                if nb and (smallest is None or (nb, j) < smallest):
-                    smallest = (nb, j)
-            if smallest is not None:
-                pj = smallest[1]
-                continue
-            if pv != 1:
-                offender = None
-                for i2 in sorted(rows):
-                    if i2 == pi:
-                        continue
-                    if any(v % pv for v in rows[i2].values()):
-                        offender = i2
-                        break
-                if offender is not None:
-                    _row_axpy(rows, cols, pi, rows[offender], 1, units, live)
-                    continue
-            break
-        pivots.append(rows[pi][pj])
-        del rows[pi]
-        del cols[pj]
-    return pivots, paired
+        else:
+            # Euclid's column operations change rows of the next boundary
+            # outside the paired ones
+            pairing = False
+            pi, pj = _euclid(rows, cols, units, live)
+        # the pivot divides its row and column: clear column pj with row
+        # operations; then column pj is the pivot alone, and the column
+        # operations that clear row pi touch nothing else
+        rp = rows.pop(pi)
+        pv = rp.pop(pj)
+        for j in rp:
+            cols[j].discard(pi)
+        for k in cols.pop(pj):
+            if k != pi:
+                _row_axpy(rows, cols, k, rp, -(rows[k].pop(pj) // pv), units, live)
+        diag.append(abs(pv))
+    return diag, paired

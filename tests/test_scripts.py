@@ -29,6 +29,18 @@ def test_reproduce_tables_size_3(monkeypatch, capsys):
     ]
 
 
+def test_reproduce_tables_size_0(monkeypatch, capsys):
+    # size 0 is a size of its own, not the default 3 and 4, and its census is
+    # empty
+    out = run_script(monkeypatch, capsys, "reproduce_tables.py", "--size", "0")
+    lines = out.splitlines()
+    assert re.fullmatch(
+        r"size 0: 0 isomorphism classes \(enumerated in \d+\.\ds\)", lines[0]
+    )
+    assert re.fullmatch(r"homology through degree 3 in \d+\.\ds", lines[1])
+    assert lines[2:] == [""]
+
+
 def test_torsion_survey_size_3(monkeypatch, capsys):
     out = run_script(monkeypatch, capsys, "torsion_survey.py", "--size", "3")
     assert out == (

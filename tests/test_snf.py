@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from shelfhom.chain import boundary_matrix
+import shelfhom.snf
+from shelfhom.chain import boundary_matrix, preset_homology
 from shelfhom.intmat import SparseIntMatrix, identity_matrix
 from shelfhom.snf import (
     HomologyGroup,
@@ -12,7 +14,7 @@ from shelfhom.snf import (
     homology_from_boundaries,
     smith_normal_form,
 )
-from shelfhom.tables import BinaryOpTable, MultiShelf, identity_op
+from shelfhom.tables import BinaryOpTable, MultiShelf, Shelf, identity_op
 
 
 def snf_dense(rows):
@@ -41,6 +43,8 @@ def test_divisibility_chain_is_enforced():
     assert sf.factors == (1, 6)
     sf = snf_dense([[4, 0, 0], [0, 6, 0], [0, 0, 10]])
     assert sf.factors == (2, 2, 60)
+    sf = snf_dense([[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 10, 0], [0, 0, 0, 9]])
+    assert sf.factors == (1, 2, 6, 180)
 
 
 def test_smith_form_validates_chain():
@@ -110,6 +114,31 @@ def test_random_matrices_against_dense_oracle():
                 r.insert(at, 0)
             ncols += 1
         assert snf_dense(rows).factors == oracles.dense_smith_factors(rows), rows
+    # no entry is +-1, so every pivot comes from Euclid and the unit pairing
+    # never starts
+    for _ in range(120):
+        nrows = rng.randint(1, 12)
+        ncols = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 0.9))
+        rows = [
+            [rng.choice((2, 3, 4, 6, 9, 10)) * rng.choice((1, -1))
+             if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        sf = snf_dense(rows)
+        assert sf.factors == oracles.dense_smith_factors(rows), rows
+        assert not sf.paired
+    # a diagonal whose entries do not divide each other, with its rows and
+    # columns shuffled: the pivots are the entries, and only the gcd/lcm
+    # pass over them gives the invariant factors
+    for entries in [(4, 6, 10, 9), (9, 4, 25, 6, 15), (2, 3, 5, 7, 10, 12)]:
+        for _ in range(5):
+            n = len(entries)
+            at = rng.sample(range(n), n)
+            rows = [[0] * n for _ in range(n)]
+            for i, v in enumerate(entries):
+                rows[at[i]][i] = v * rng.choice((1, -1))
+            assert snf_dense(rows).factors == oracles.dense_smith_factors(rows), rows
 
 
 def test_minor_gcd_products():
@@ -242,6 +271,39 @@ def test_factors_invariant_under_unimodular_operations_on_a_boundary():
         assert oracles.dense_smith_factors(scrambled) == factors, seed
 
 
+# sha256 of repr([(shape, factors), ...]) over the SNF calls of the homology
+# walk, in call order.  Invariant factors do not depend on how an SNF finds
+# them, so every correct SNF keeps these digests.
+@pytest.mark.parametrize("structures, kind, maxdeg, digest", [
+    ("R7", "rack", 2,
+     "12920e7ed7044ccea9569208e53a3a49752c949f0bae84eaa0da0a12842602ff"),
+    ("R3", "quandle", 7,
+     "862a29318a80a3ca0b55169a08c2aadbf1a2c6a9149dab55e46956bd8f27933a"),
+    ("R5", "rack", 3,
+     "977368d93d4543d31d7ad2170d2702a203ae38408841cd561706479ab2079a0b"),
+    ("classes4", "shelf", 2,
+     "a3ccfead94e66f15f928e80660bd65213c8ee8411558b79a35fa00548bf6d296"),
+])
+def test_walk_factor_digests_are_pinned(structures, kind, maxdeg, digest,
+                                        monkeypatch, request):
+    if structures == "classes4":
+        shelves = [Shelf(k.table()) for k in request.getfixturevalue("classes4")]
+    else:
+        n = int(structures[1:])
+        shelves = [Shelf(BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n))]
+    calls = []
+
+    def recorded(mat):
+        sf = smith_normal_form(mat)
+        calls.append((mat.shape, sf.factors))
+        return sf
+
+    monkeypatch.setattr(shelfhom.snf, "smith_normal_form", recorded)
+    for shelf in shelves:
+        preset_homology(shelf, kind, maxdeg)
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == digest
+
+
 def _invariant_factors(orders):
     """The invariant factors of the direct sum of the Z/m for m in orders."""
     exponents = {}
@@ -333,8 +395,8 @@ def test_walk_returns_the_groups_of_a_conjugated_direct_sum():
 
 
 def test_walk_stops_pairing_at_the_first_non_unit_step():
-    # d_1 has no unit entry, so its elimination starts with a non-unit
-    # pivot, whose row pass mixes the rows of d_2 by column operations.
+    # d_1 has no unit entry, so its elimination starts with a Euclid step,
+    # whose column operations mix the rows of d_2.
     # Its kernel is spanned by (0, 2, -3), which is d_2, so H_1 = 0; pairing
     # the unit pivots taken after that step would drop a row of d_2 and
     # leave Z/3.
