@@ -4,7 +4,9 @@ Canonical form is the lexicographic minimum of the row-major flattened table
 over all carrier permutations, so two tables have equal keys exactly when
 some relabelling transports one onto the other.  Enumeration backtracks over
 table entries in row-major order, checking every instance of the
-distributivity law as soon as its five lookups are determined.
+distributivity law as soon as its five lookups are determined.  The census
+runs the same recursion as orderly generation (Read 1978; McKay 1998), so
+each class's canonical table is the only one of its class to come out.
 """
 
 from __future__ import annotations
@@ -37,21 +39,6 @@ class IsoClassKey:
         )
 
 
-def relabel(table: BinaryOpTable, perm) -> BinaryOpTable:
-    """Transport the table along x -> perm[x]."""
-    n = table.size
-    t = table.entries
-    pinv = [0] * n
-    for i, p in enumerate(perm):
-        pinv[p] = i
-    return BinaryOpTable(
-        tuple(
-            tuple(perm[t[pinv[x]][pinv[y]]] for y in range(n))
-            for x in range(n)
-        )
-    )
-
-
 def canonical_form(table: BinaryOpTable) -> IsoClassKey:
     """Lexicographic minimum over all n! relabellings (guarded at n = 8)."""
     n = table.size
@@ -73,13 +60,19 @@ def canonical_form(table: BinaryOpTable) -> IsoClassKey:
     return IsoClassKey(best)
 
 
-def enumerate_shelf_tables(n: int):
+def enumerate_shelf_tables(n: int, canonical: bool = False):
     """All labelled self-distributive tables on {0..n-1}, in lex order.
 
     Backtracking fills entries row-major; after each placement, every
     instance of the law whose lookups are all determined is checked, and
     instances blocked on a not-yet-filled row are carried forward and
     re-checked as the table grows.
+
+    With ``canonical``, only the lex-min table of each class is returned:
+    once r rows are filled, a relabelling's image is determined on its rows
+    x = 0, 1, ... while ``pinv[x] < r``, and a node whose image prefix is
+    smaller has no lex-min completion.  A lex-min table's prefixes are never
+    beaten, and at r = n the test is the full lex-min test.
     """
     if n < 0:
         raise OutOfRange(f"carrier size {n} < 0")
@@ -98,6 +91,11 @@ def enumerate_shelf_tables(n: int):
     for a, b, c in product(range(n), repeat=3):
         k = max(a * n + b, a * n + c, b * n + c)
         static_group[k].append((a, b, c))
+
+    # (perm, pinv) for every relabelling x -> perm[x] but the identity,
+    # which permutations() yields first.
+    perms = list(permutations(range(n)))[1:] if canonical else []
+    relabellings = [(p, [p.index(x) for x in range(n)]) for p in perms]
 
     results = []
 
@@ -121,13 +119,29 @@ def enumerate_shelf_tables(n: int):
                 return None
         return carry
 
+    def beaten(r):
+        # Some relabelling maps rows 0..r-1 to a smaller determined prefix.
+        for perm, pinv in relabellings:
+            for x in range(n):
+                if pinv[x] >= r:
+                    break
+                src = t[pinv[x]]
+                image = [perm[src[q]] for q in pinv]
+                if image != t[x]:
+                    if image < t[x]:
+                        return True
+                    break
+        return False
+
     def rec(k, pending):
+        x, y = divmod(k, n)
+        if y == 0 and x and beaten(x):
+            return
         if k == n2:
             results.append(
                 BinaryOpTable(tuple(tuple(row) for row in t))
             )
             return
-        x, y = divmod(k, n)
         row = t[x]
         group = static_group[k]
         for v in range(n):
@@ -146,22 +160,8 @@ def enumerate_shelf_tables(n: int):
 def enumerate_shelves(n: int) -> list[IsoClassKey]:
     """Isomorphism classes of shelves on n elements, sorted by key.
 
-    Tables come out of the backtracker in ascending lex order, so the first
-    member met in each class is its canonical table; the remaining members
-    are skipped through a set of all relabelled images.
+    Orderly generation emits each class's canonical table once, and the
+    backtracker's lex order makes the keys ascending.
     """
-    tables = enumerate_shelf_tables(n)
-    keys = []
-    seen: set[tuple[int, ...]] = set()
-    perms = list(permutations(range(n)))
-    for table in tables:
-        flat = table.flat()
-        if flat in seen:
-            continue
-        key = canonical_form(table)
-        assert key.flat == flat, "lex-first class member should be canonical"
-        keys.append(key)
-        for perm in perms:
-            seen.add(relabel(table, perm).flat())
-    keys.sort()
-    return keys
+    return [IsoClassKey(table.flat())
+            for table in enumerate_shelf_tables(n, canonical=True)]

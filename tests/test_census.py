@@ -1,3 +1,6 @@
+from itertools import permutations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,6 @@ from shelfhom.census import (
     canonical_form,
     enumerate_shelf_tables,
     enumerate_shelves,
-    relabel,
 )
 from shelfhom.errors import PracticalSizeLimit
 from shelfhom.families import (
@@ -18,7 +20,14 @@ from shelfhom.families import (
     SubtractionShelf,
     construct_family,
 )
-from shelfhom.tables import BinaryOpTable, identity_op, right_trivial_op
+from shelfhom.orbits import classify
+from shelfhom.tables import BinaryOpTable, Shelf, identity_op, right_trivial_op
+
+
+def relabel(table, perm):
+    n = table.size
+    flat = oracles.relabel_flat(table.flat(), n, perm)
+    return BinaryOpTable.from_rows([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 def test_relabelled_copies_share_a_key():
@@ -85,6 +94,30 @@ def test_backtracker_matches_exhaustive_filter(n, labelled_by_size):
     expected = oracles.all_shelf_tables_by_filter(n)
     got = [t.flat() for t in labelled_by_size[n]]
     assert got == sorted(expected)
+
+
+@pytest.mark.parametrize("n, labelled, racks, quandles", [
+    (3, 224, 6, 3),
+    (4, 14067, 19, 7),
+])
+def test_orderly_census_is_canonical_and_complete(
+    n, labelled, racks, quandles, request
+):
+    # Rack and quandle counts are OEIS A181769 and A181771.  The orbit sum
+    # n!/|Aut| over the classes recounts the labelled tables, so a class the
+    # prune dropped shows as a shortfall.
+    keys = request.getfixturevalue(f"classes{n}")
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(canonical_form(key.table()) == key for key in keys)
+    perms = list(permutations(range(n)))
+    orbit_sum = 0
+    for key in keys:
+        aut = sum(oracles.relabel_flat(key.flat, n, p) == key.flat for p in perms)
+        orbit_sum += factorial(n) // aut
+    assert orbit_sum == labelled
+    flags = [classify(Shelf(key.table())) for key in keys]
+    assert sum(f.is_rack for f in flags) == racks
+    assert sum(f.is_rack and f.is_spindle for f in flags) == quandles
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

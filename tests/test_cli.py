@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -467,6 +468,15 @@ def test_enumerate_three_elements_matches_oracle_count(capsys):
     code, out, _ = run(capsys, "enumerate", "--size", "3", "--no-timestamp")
     assert code == 0
     assert json.loads(out)["count"] == 48
+
+
+def test_enumerate_four_elements_report_is_pinned(capsys):
+    # recorded from a census that deduplicated all 14 067 labelled tables
+    code, out, _ = run(capsys, "enumerate", "--size", "4", "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1c77896a327dc33dba44063a79399e601861971739afe8746c7327523c1d6db"
+    )
 
 
 def test_scan_with_jobs_flag_matches_sequential(capsys):
