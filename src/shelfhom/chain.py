@@ -79,28 +79,42 @@ def as_multishelf(structure) -> MultiShelf:
     raise SizeMismatch(f"expected Shelf or MultiShelf, got {type(structure).__name__}")
 
 
-def _assemble(ms, coefficients, tuples) -> dict[tuple[int, int], int]:
-    """Entries of sum_k c_k d^k on the given basis tuples, one column each
-    in the order given, keyed (tuple-basis row of the face, column)."""
+def _assemble(ms, coefficients, degree, columns, rows=None) -> dict[tuple[int, int], int]:
+    """Entries of sum_k c_k d^k on the degree-d tuples with the given basis
+    indices, keyed (row, tuple index of the column).
+
+    Face i of the tuple with index x lies on row P_i[x // s] * s + x % s,
+    s = n^(d-i), where P_i[c] indexes (x_0*x_i, ..., x_{i-1}*x_i) for the
+    (x_0..x_i) of index c; P_i is filled from P_{i-1} once per operation.
+    ``rows``, if given, maps the kept tuple-basis rows to matrix rows, and
+    faces on other rows are dropped before they are added.  Columns are the
+    outer loop, so what cancels within a column (face 0 under (op, identity)
+    always does) is gone before the next one, and entries come in column
+    order, which the SNF's tie-breaks follow.
+    """
     n = ms.size
-    active = [(op.entries, c) for op, c in zip(ms.ops, coefficients) if c]
+    terms = []
+    for t, c in [(op.entries, c) for op, c in zip(ms.ops, coefficients) if c]:
+        prefix = [0] * n
+        for i in range(degree + 1):
+            if i:  # P_{i-1} of (x_0..x_{i-2}, x_i), then x_{i-1} * x_i
+                prefix = [prefix[y // (n * n) * n + y % n] * n + t[y // n % n][y % n]
+                          for y in range(n ** (i + 1))]
+            s = n ** (degree - i)
+            terms.append((s, [p * s for p in prefix], c if i % 2 == 0 else -c))
     data: dict[tuple[int, int], int] = {}
-    for col, tup in enumerate(tuples):
-        d = len(tup) - 1
-        for t, c in active:
-            for i in range(d + 1):
-                xi = tup[i]
-                row = 0
-                for j in range(i):
-                    row = row * n + t[tup[j]][xi]
-                for j in range(i + 1, d + 1):
-                    row = row * n + tup[j]
-                key = (row, col)
-                s = data.get(key, 0) + (c if i % 2 == 0 else -c)
-                if s:
-                    data[key] = s
-                else:
-                    del data[key]
+    for x in columns:
+        for s, table, c in terms:
+            q, r = divmod(x, s)
+            row = table[q] + r
+            if rows is not None and (row := rows.get(row)) is None:
+                continue
+            key = (row, x)
+            v = data.get(key, 0) + c
+            if v:
+                data[key] = v
+            else:
+                del data[key]
     return data
 
 
@@ -124,7 +138,7 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
         if not augmented:
             return SparseIntMatrix(0, n, {})
         return SparseIntMatrix._raw(1, n, {(0, j): 1 for j in range(n)})
-    data = _assemble(ms, coefficients, product(range(n), repeat=degree + 1))
+    data = _assemble(ms, coefficients, degree, range(n ** (degree + 1)))
     return SparseIntMatrix._raw(n ** degree, n ** (degree + 1), data)
 
 
@@ -263,9 +277,10 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
     """The quotient of the tuple complex by degenerate chains.
 
     Degenerate chains (some x_i = x_{i+1}) form a subcomplex for spindles
-    under the (op, identity) differentials; each degenerate column is
-    checked to have only degenerate terms (a structured error otherwise),
-    and the quotient is assembled directly on the nondegenerate basis.
+    under the (op, identity) differentials.  Each degree is assembled once,
+    over every tuple but onto the nondegenerate rows only: a degenerate
+    column that keeps a term raises a structured error naming the least
+    such tuple, and the nondegenerate columns form the quotient matrix.
     """
     if not is_spindle(shelf.table):
         raise NotASpindle("degenerate chains only form a subcomplex for spindles")
@@ -280,20 +295,21 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
 
     # degree 0 has no degenerate tuples, so d_0 is the full one
     boundaries = [boundary_matrix(ms, coefficients, 0, augmented)]
-    basis = degenerate_free_tuples(n, 0)
+    rows = {x: x for x in range(n)}
     for d in range(1, maxdeg + 1):
-        rows = {basis_index(tup, n): r for r, tup in enumerate(basis)}
-        # d(D) must live in D: check every degenerate generator's column.
-        for tup in filter(_degenerate, product(range(n), repeat=d + 1)):
-            if any(i in rows for i, _ in _assemble(ms, coefficients, (tup,))):
-                raise DegenerateNotSubcomplex(
-                    f"d({tup}) has a nondegenerate term at degree {d} "
-                    f"for coefficients {coefficients}"
-                )
-        basis = degenerate_free_tuples(n, d)
-        faces = _assemble(ms, coefficients, basis)
-        data = {(rows[i], j): v for (i, j), v in faces.items() if i in rows}
-        boundaries.append(SparseIntMatrix._raw(len(rows), len(basis), data))
+        cols = {basis_index(tup, n): j
+                for j, tup in enumerate(degenerate_free_tuples(n, d))}
+        faces = _assemble(ms, coefficients, d, range(n ** (d + 1)), rows)
+        # d(D) must live in D: no degenerate column may keep a term
+        leaks = [x for _, x in faces if x not in cols]
+        if leaks:
+            raise DegenerateNotSubcomplex(
+                f"d({index_tuple(min(leaks), d + 1, n)}) has a nondegenerate "
+                f"term at degree {d} for coefficients {coefficients}"
+            )
+        data = {(i, cols[x]): v for (i, x), v in faces.items()}
+        boundaries.append(SparseIntMatrix._raw(len(rows), len(cols), data))
+        rows = cols
     _check_dd(boundaries, "quotient ")
     return ChainComplex(n, ms.ops, coefficients, augmented, boundaries,
                         kind="quandle-quotient")

@@ -21,7 +21,7 @@ from itertools import product
 
 from .census import canonical_form, enumerate_shelves
 from .chain import preset_homology
-from .errors import CapExceeded, EmptyList, OutOfRange
+from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange
 from .families import BooleanMultiShelf, PointedMap, construct_family
 from .orbits import left_orbits
 from .tables import BinaryOpTable, Shelf, validate_multishelf
@@ -102,6 +102,8 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
     """
     if size > 4:
         raise CapExceeded(f"growth scan capped at size 4, got {size}")
+    if maxdeg < 0:
+        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
     keys = enumerate_shelves(size)
     report = ScanReport("growth", {"size": size, "maxdeg": maxdeg})
     rank_lists = _ranks([(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs)
@@ -171,6 +173,8 @@ def scan_example4(size: int, maxdeg: int = 3, jobs: int = 1) -> ScanReport:
     """Pointed-map family rank formula |X|^(d-1)*(2+(|X|+1)*(r-2)), d >= 1."""
     if size > 4:
         raise CapExceeded(f"example4 scan capped at size 4, got {size}")
+    if maxdeg < 0:
+        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
     shelves = pointed_map_shelves(size)
     report = ScanReport("example4", {"size": size, "maxdeg": maxdeg})
     rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
@@ -308,6 +312,8 @@ def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> ScanReport:
     """
     if size > 4:
         raise CapExceeded(f"torsion hunt capped at size 4, got {size}")
+    if maxdeg < 0:
+        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
     keys = enumerate_shelves(size)
     report = ScanReport("torsion-hunt", {"size": size, "maxdeg": maxdeg})
     group_lists = _pool_map(

@@ -66,20 +66,22 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
 
     maxdim defaults to n - 1 (a simplex on n vertices cannot be larger, and
     generating tuples longer than n always repeat a product), so only
-    dimensions up to n - 1 are enumerated; the higher ones stay empty.
+    dimensions up to n - 1 are enumerated; the higher ones stay empty.  The
+    cap bounds the tuples of the longest length enumerated.
     """
     n = shelf.size
     if maxdim is None:
         maxdim = n - 1
     if maxdim < 0:
         raise DegreeOutOfRange("maxdim must be nonnegative")
-    if n ** (maxdim + 1) > cap:
+    top = min(maxdim, n - 1)
+    if n ** (top + 1) > cap:
         raise CapExceeded(
-            f"n^(maxdim+1) = {n}^{maxdim + 1} exceeds the tuple cap {cap}"
+            f"n^(min(maxdim, n-1)+1) = {n}^{top + 1} exceeds the tuple cap {cap}"
         )
     table = shelf.table
     found: list[set] = [set() for _ in range(maxdim + 1)]
-    for d in range(min(maxdim, n - 1) + 1):
+    for d in range(top + 1):
         bucket = found[d]
         for tup in product(range(n), repeat=d + 1):
             verts = suffix_products(table, tup)

@@ -159,6 +159,27 @@ def iso_classes_by_orbit(flats, n):
     return sorted(reps)
 
 
+def dense_tuple_boundary(ops, coefficients, d, augmented):
+    """Dense d_d of the tuple complex of sum_k c_k d^k, straight from the
+    face formula: column (x_0..x_d) gets (-1)^i c_k at the row of
+    (x_0 *k x_i, ..., x_{i-1} *k x_i, x_{i+1}, ..., x_d), each face folded
+    from its tuple.  Rows and columns are the tuples in lexicographic order;
+    degree 0 is the all-ones row when augmented and has no rows otherwise.
+    ``ops`` are lists of rows."""
+    n = len(ops[0])
+    if d == 0:
+        return [[1] * n] if augmented else []
+    row_of = {tup: i for i, tup in enumerate(product(range(n), repeat=d))}
+    cols = list(product(range(n), repeat=d + 1))
+    mat = [[0] * len(cols) for _ in row_of]
+    for j, tup in enumerate(cols):
+        for rows, c in zip(ops, coefficients):
+            for i in range(d + 1):
+                face = tuple(rows[tup[a]][tup[i]] for a in range(i)) + tup[i + 1:]
+                mat[row_of[face]][j] += c if i % 2 == 0 else -c
+    return mat
+
+
 def _nondegenerate(n, d):
     return [tup for tup in product(range(n), repeat=d + 1)
             if all(tup[i] != tup[i + 1] for i in range(d))]

@@ -83,6 +83,30 @@ def test_boundary_degree_one_columns():
             assert got == expected
 
 
+def _against_tuple_oracle(ms, coefficients, augmented):
+    n = ms.size
+    ops = [[list(r) for r in op.entries] for op in ms.ops]
+    for d in range(4):
+        got = boundary_matrix(ms, coefficients, d, augmented)
+        assert got.shape == (n ** d if d else int(augmented), n ** (d + 1))
+        want = oracles.dense_tuple_boundary(ops, coefficients, d, augmented)
+        assert got.to_dense() == want, (ms, coefficients, augmented, d)
+
+
+def test_boundary_matrices_against_dense_oracle(labelled_by_size):
+    # every 1-, 2- and 3-element shelf alone and as the rack pair
+    # (op, identity), then a Boolean multi-shelf with a zero coefficient
+    for n in (1, 2, 3):
+        for table in labelled_by_size[n]:
+            _against_tuple_oracle(MultiShelf((table,)), (1,), True)
+            _against_tuple_oracle(MultiShelf((table, identity_op(n))), (1, -1),
+                                  False)
+    for omega in (1, 2):
+        ms = construct_family(BooleanMultiShelf(omega))
+        for augmented in (True, False):
+            _against_tuple_oracle(ms, (2, 0, -1, 3), augmented)
+
+
 def test_boundary_zero_coefficients_gives_zero_matrix():
     ms = construct_family(BooleanMultiShelf(1))
     for d in range(1, 4):
@@ -286,6 +310,33 @@ def test_degenerate_subcomplex_check_fires(monkeypatch):
     zero = validate_shelf(BinaryOpTable.from_function(2, lambda x, y: 0))
     with pytest.raises(DegenerateNotSubcomplex, match=r"d\(\(1, 1\)\)"):
         quandle_quotient_complex(zero, (1, -1), maxdeg=2)
+
+
+def test_degenerate_check_names_the_least_leaking_tuple(monkeypatch, labelled_by_size):
+    # a non-spindle leaks at degree 1, where every row is kept, so d((x, x))
+    # leaks exactly when its column (3x + x in d_1) is nonzero; the check
+    # must name the least such tuple, which the oracle finds column by column
+    import shelfhom.chain as chain
+    from shelfhom.orbits import is_spindle
+
+    identity = [[x] * 3 for x in range(3)]
+    non_spindles = [t for t in labelled_by_size[3] if not is_spindle(t)]
+    monkeypatch.setattr(chain, "is_spindle", lambda table: True)
+    for table in non_spindles:
+        d1 = oracles.dense_tuple_boundary(
+            [[list(r) for r in table.entries], identity], (1, -1), 1, False
+        )
+        x = min(x for x in range(3) if any(row[4 * x] for row in d1))
+        with pytest.raises(DegenerateNotSubcomplex) as exc:
+            quandle_quotient_complex(Shelf(table), (1, -1), maxdeg=3)
+        assert str(exc.value).startswith(f"d(({x}, {x})) "), table
+    # x*y = 0: d((1, 1)) and d((2, 2)) both leak; the message is pinned
+    zero = validate_shelf(BinaryOpTable.from_function(3, lambda x, y: 0))
+    with pytest.raises(DegenerateNotSubcomplex) as exc:
+        quandle_quotient_complex(zero, (1, -1), maxdeg=3)
+    assert str(exc.value) == (
+        "d((1, 1)) has a nondegenerate term at degree 1 for coefficients (1, -1)"
+    )
 
 
 def test_quandle_known_dihedral_torsion():

@@ -393,6 +393,9 @@ PINNED_SIMPLICIAL = {
                        PAPER_SIMPLICES, [2, 1] + [0] * 8),
     "two-element-maxdeg-21": ({"size": 2, "ops": [[[0, 0], [0, 1]]]}, "21", 21,
                               [2, 1] + [0] * 20, [0, 0], [[0, 1]], [1] + [0] * 21),
+    # only tuples of length <= n are enumerated, so the cap lets this through
+    "two-element-maxdeg-22": ({"size": 2, "ops": [[[0, 0], [0, 1]]]}, "22", 22,
+                              [2, 1] + [0] * 21, [0, 0], [[0, 1]], [1] + [0] * 22),
 }
 
 
@@ -417,6 +420,17 @@ def test_simplicial_report_is_pinned(tmp_path, capsys, case):
     code, out, err = run(capsys, "simplicial", "--input", write(tmp_path, doc),
                          *flags, "--no-timestamp")
     assert (code, out, err) == (0, expected, "")
+
+
+def test_simplicial_tuple_cap_refuses_a_large_carrier(tmp_path, capsys):
+    doc = {"size": 8, "ops": [[list(range(8))] * 8]}  # x*y = y
+    code, out, err = run(capsys, "simplicial", "--input", write(tmp_path, doc),
+                         "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": "n^(min(maxdim, n-1)+1) = 8^8 exceeds the tuple cap 4194304",
+    }
 
 
 def test_timestamp_present_by_default(tmp_path, capsys):
@@ -524,7 +538,11 @@ def test_negative_size_is_exit_2(capsys, argv):
     ["homology", "--kind", "quandle"],
     ["torsion-hunt", "--size", "2"],
     ["scan", "--which", "growth", "--size", "2"],
-], ids=["homology-shelf", "homology-quandle", "torsion-hunt", "scan-growth"])
+    ["torsion-hunt", "--size", "0"],
+    ["scan", "--which", "growth", "--size", "0"],
+    ["scan", "--which", "example4", "--size", "0"],
+], ids=["homology-shelf", "homology-quandle", "torsion-hunt", "scan-growth",
+        "torsion-hunt-size-0", "scan-growth-size-0", "scan-example4-size-0"])
 @pytest.mark.parametrize("maxdeg", ["-1", "-3"])
 def test_negative_maxdeg_is_exit_2(tmp_path, capsys, argv, maxdeg):
     path = write(tmp_path, RACK_DOC)  # R_3 is a quandle, so both kinds take it

@@ -136,6 +136,10 @@ def test_degree_window_guard():
 def test_tuple_cap():
     with pytest.raises(CapExceeded):
         build_shelf_complex(PAPER_4x4, maxdim=3, cap=10)
+    # the cap counts the tuples enumerated, of length at most n: 4^4 here
+    assert build_shelf_complex(PAPER_4x4, maxdim=9, cap=256).count(1) == 3
+    with pytest.raises(CapExceeded, match=r"4\^4 exceeds the tuple cap 255"):
+        build_shelf_complex(PAPER_4x4, maxdim=9, cap=255)
 
 
 def test_groups_match_the_dense_oracle(classes4, labelled_by_size):
