@@ -12,7 +12,6 @@ from .chain import (
     preset_complex,
     preset_homology,
     quandle_quotient_complex,
-    simplicial_projection_map,
 )
 from .families import (
     BooleanMultiShelf,
@@ -31,7 +30,13 @@ from .families import (
 )
 from .intmat import SparseIntMatrix
 from .orbits import OrbitPartition, classify, left_orbits, orbit_quotient
-from .simplicial import ShelfComplex, build_shelf_complex, components, simplicial_groups
+from .simplicial import (
+    ShelfComplex,
+    build_shelf_complex,
+    components,
+    simplicial_groups,
+    simplicial_projection_map,
+)
 from .snf import HomologyGroup, SmithForm, smith_normal_form
 from .tables import (
     BinaryOpTable,

@@ -262,15 +262,6 @@ def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
     return homology_groups(cx, maxdeg)
 
 
-def _degenerate(tup) -> bool:
-    return any(a == b for a, b in zip(tup, tup[1:]))
-
-
-def degenerate_free_tuples(n: int, degree: int):
-    """Tuples of length degree+1 with no two equal adjacent entries."""
-    return [t for t in product(range(n), repeat=degree + 1) if not _degenerate(t)]
-
-
 def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
                              maxdeg: int = 3, augmented: bool = False,
                              cap: int = DEFAULT_MEMORY_CAP) -> ChainComplex:
@@ -297,8 +288,9 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
     boundaries = [boundary_matrix(ms, coefficients, 0, augmented)]
     rows = {x: x for x in range(n)}
     for d in range(1, maxdeg + 1):
-        cols = {basis_index(tup, n): j
-                for j, tup in enumerate(degenerate_free_tuples(n, d))}
+        # nondegenerate tuples extend nondegenerate ones, in ascending index
+        cols = {x: j for j, x in enumerate(
+            y * n + v for y in rows for v in range(n) if v != y % n)}
         faces = _assemble(ms, coefficients, d, range(n ** (d + 1)), rows)
         # d(D) must live in D: no degenerate column may keep a term
         leaks = [x for _, x in faces if x not in cols]
@@ -371,56 +363,3 @@ def F_chain_map(star1: BinaryOpTable, source_cx: ChainComplex,
                 f"matrix fails to commute with the boundaries at degree {degree}"
             )
     return fd
-
-
-def simplicial_projection_map(shelf: Shelf, complex_, degree: int) -> SparseIntMatrix:
-    """Chain map from the tuple complex onto the oriented simplicial chains.
-
-    A tuple goes to its suffix-product vertex tuple: zero if a vertex
-    repeats, otherwise +-(sorted simplex) with the sign of the sorting
-    permutation.  Commutation with the boundaries is verified for
-    degree >= 1.
-    """
-    from .simplicial import simplicial_boundary_matrix  # local to avoid cycle
-
-    mat = _projection_matrix(shelf, complex_, degree)
-    if degree >= 1:
-        prev = _projection_matrix(shelf, complex_, degree - 1)
-        d_alg = boundary_matrix(
-            MultiShelf((shelf.table,)), (1,), degree, augmented=False
-        )
-        d_simp = simplicial_boundary_matrix(complex_, degree)
-        if d_simp.matmul(mat) != prev.matmul(d_alg):
-            raise ChainMapViolation(
-                f"projection fails to commute with boundaries at degree {degree}"
-            )
-    return mat
-
-
-def _projection_matrix(shelf: Shelf, complex_, degree: int) -> SparseIntMatrix:
-    n = shelf.size
-    if degree > complex_.maxdim:
-        raise DegreeOutOfRange(
-            f"complex built to dimension {complex_.maxdim}, need {degree}"
-        )
-    simplex_rows = {s: i for i, s in enumerate(complex_.simplices[degree])}
-    data = {}
-    for col, tup in enumerate(product(range(n), repeat=degree + 1)):
-        verts = suffix_products(shelf.table, tup)
-        if len(set(verts)) != len(verts):
-            continue
-        sign = _sort_sign(verts)
-        key = tuple(sorted(verts))
-        data[(simplex_rows[key], col)] = sign
-    return SparseIntMatrix._raw(
-        len(simplex_rows), n ** (degree + 1), data
-    )
-
-
-def _sort_sign(seq) -> int:
-    inversions = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inversions += 1
-    return -1 if inversions % 2 else 1

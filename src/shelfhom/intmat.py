@@ -49,15 +49,6 @@ class SparseIntMatrix:
                     data[(i, j)] = int(v)
         return cls._raw(nrows, ncols, data)
 
-    @classmethod
-    def from_triplets(cls, nrows, ncols, triplets) -> "SparseIntMatrix":
-        data = {}
-        for i, j, v in triplets:
-            if (i, j) in data:
-                raise SizeMismatch(f"duplicate triplet at ({i},{j})")
-            data[(i, j)] = v
-        return cls(nrows, ncols, data)
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -65,9 +56,6 @@ class SparseIntMatrix:
     @property
     def nnz(self) -> int:
         return len(self.data)
-
-    def get(self, i, j) -> int:
-        return self.data.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -82,37 +70,10 @@ class SparseIntMatrix:
         """Entries as (row, col, value), sorted for deterministic output."""
         return [(i, j, self.data[(i, j)]) for (i, j) in sorted(self.data)]
 
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix._raw(
-            self.ncols, self.nrows,
-            {(j, i): v for (i, j), v in self.data.items()},
-        )
-
-    def scaled(self, c: int) -> "SparseIntMatrix":
-        if c == 0:
-            return SparseIntMatrix._raw(self.nrows, self.ncols, {})
-        return SparseIntMatrix._raw(
-            self.nrows, self.ncols,
-            {k: c * v for k, v in self.data.items()},
-        )
-
     def __neg__(self):
-        return self.scaled(-1)
-
-    def add(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.shape != other.shape:
-            raise SizeMismatch(f"cannot add {self.shape} and {other.shape}")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            s = data.get(k, 0) + v
-            if s:
-                data[k] = s
-            else:
-                data.pop(k, None)
-        return SparseIntMatrix._raw(self.nrows, self.ncols, data)
-
-    def sub(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        return self.add(other.scaled(-1))
+        return SparseIntMatrix._raw(
+            self.nrows, self.ncols, {k: -v for k, v in self.data.items()}
+        )
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
@@ -142,9 +103,6 @@ class SparseIntMatrix:
             and self.shape == other.shape
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset(self.data.items())))
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"

@@ -17,22 +17,17 @@ from .tables import BinaryOpTable, MultiShelf, Shelf, validate_multishelf, valid
 SCHEMA_VERSION = 1
 
 
-def structure_to_doc(structure, labels=None) -> dict:
+def structure_to_doc(structure) -> dict:
     if isinstance(structure, Shelf):
         ops = [structure.table]
     elif isinstance(structure, MultiShelf):
         ops = list(structure.ops)
-    elif isinstance(structure, BinaryOpTable):
-        ops = [structure]
     else:
         raise TypeError(f"cannot serialize {type(structure).__name__}")
-    doc = {
+    return {
         "size": ops[0].size,
         "ops": [[list(row) for row in op.entries] for op in ops],
     }
-    if labels is not None:
-        doc["labels"] = list(labels)
-    return doc
 
 
 def structure_from_doc(doc):
@@ -49,13 +44,18 @@ def structure_from_doc(doc):
         ops = doc["ops"]
     except KeyError as missing:
         raise ParseError(f"missing required key {missing}") from None
-    if not isinstance(size, int) or size <= 0:
+    # JSON true/false load as bool, a subclass of int: refuse them by type
+    if type(size) is not int or size <= 0:
         raise ParseError(f"size must be a positive integer, got {size!r}")
     if not isinstance(ops, list) or not ops:
         raise ParseError("ops must be a nonempty list of tables")
     labels = doc.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != size:
+        if (
+            not isinstance(labels, list)
+            or len(labels) != size
+            or not all(isinstance(label, str) for label in labels)
+        ):
             raise ParseError(f"labels must be a list of {size} strings")
     tables = []
     for which, table in enumerate(ops):
@@ -67,7 +67,7 @@ def structure_from_doc(doc):
             raise ParseError(f"ops[{which}] is not an {size}x{size} nested list")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < size:
+                if type(v) is not int or not 0 <= v < size:
                     raise ParseError(
                         f"ops[{which}] entry {v!r} outside 0..{size - 1}"
                     )

@@ -16,7 +16,7 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from .census import canonical_form, enumerate_shelves
@@ -38,14 +38,6 @@ class ScanPoint:
     conjectured: object
     verdict: str
 
-    def to_doc(self) -> dict:
-        return {
-            "params": self.params,
-            "observed": self.observed,
-            "conjectured": self.conjectured,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass
 class ScanReport:
@@ -65,12 +57,7 @@ class ScanReport:
         return self
 
     def to_doc(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "params": self.params,
-            "points": [p.to_doc() for p in self.points],
-            "summary": self.summary,
-        }
+        return asdict(self)
 
 
 def _pool_map(fn, items, jobs):
@@ -217,6 +204,11 @@ def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
         raise CapExceeded(f"boolean scan capped at |Omega| = 2, got {omega}")
     if radius < 0:
         raise EmptyList(f"the coefficient grid needs radius >= 0, got {radius}")
+    points = (2 * radius + 1) ** 3
+    if points > 1000:
+        raise CapExceeded(
+            f"radius {radius} gives {points} coefficient vectors, over the cap 1000"
+        )
     four = construct_family(BooleanMultiShelf(omega))
     ms = validate_multishelf(four.ops[:3])
     grid = list(product(range(-radius, radius + 1), repeat=3))

@@ -20,7 +20,8 @@ import logging
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import CapExceeded, DegreeOutOfRange
+from .chain import boundary_matrix
+from .errors import CapExceeded, ChainMapViolation, DegreeOutOfRange
 from .intmat import SparseIntMatrix
 from .orbits import UnionFind
 from .snf import HomologyGroup, homology_from_boundaries
@@ -149,3 +150,52 @@ def simplicial_groups(cx: ShelfComplex) -> list[HomologyGroup]:
     if cx.maxdim >= cx.size - 1:
         boundaries.append(SparseIntMatrix(cx.count(cx.maxdim), 0))
     return homology_from_boundaries(boundaries)
+
+
+def simplicial_projection_map(shelf: Shelf, complex_, degree: int) -> SparseIntMatrix:
+    """Chain map from the tuple complex onto the oriented simplicial chains.
+
+    A tuple goes to its suffix-product vertex tuple: zero if a vertex
+    repeats, otherwise +-(sorted simplex) with the sign of the sorting
+    permutation.  Commutation with the boundaries is verified for
+    degree >= 1.
+    """
+    mat = _projection_matrix(shelf, complex_, degree)
+    if degree >= 1:
+        prev = _projection_matrix(shelf, complex_, degree - 1)
+        d_alg = boundary_matrix(shelf, (1,), degree, augmented=False)
+        d_simp = simplicial_boundary_matrix(complex_, degree)
+        if d_simp.matmul(mat) != prev.matmul(d_alg):
+            raise ChainMapViolation(
+                f"projection fails to commute with boundaries at degree {degree}"
+            )
+    return mat
+
+
+def _projection_matrix(shelf: Shelf, complex_, degree: int) -> SparseIntMatrix:
+    n = shelf.size
+    if degree > complex_.maxdim:
+        raise DegreeOutOfRange(
+            f"complex built to dimension {complex_.maxdim}, need {degree}"
+        )
+    simplex_rows = {s: i for i, s in enumerate(complex_.simplices[degree])}
+    data = {}
+    for col, tup in enumerate(product(range(n), repeat=degree + 1)):
+        verts = suffix_products(shelf.table, tup)
+        if len(set(verts)) != len(verts):
+            continue
+        sign = _sort_sign(verts)
+        key = tuple(sorted(verts))
+        data[(simplex_rows[key], col)] = sign
+    return SparseIntMatrix._raw(
+        len(simplex_rows), n ** (degree + 1), data
+    )
+
+
+def _sort_sign(seq) -> int:
+    inversions = 0
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                inversions += 1
+    return -1 if inversions % 2 else 1

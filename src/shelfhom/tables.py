@@ -91,24 +91,37 @@ class MultiShelf:
         return self.ops[0].size
 
 
+def _first_violation(ops):
+    """The lexicographically first (k, l, x, y, z, lhs, rhs) with
+    lhs = (x *_k y) *_l z != (x *_l z) *_k (y *_l z) = rhs, or None."""
+    n = ops[0].size
+    for k, tk in enumerate(ops):
+        ek = tk.entries
+        for l, tl in enumerate(ops):
+            el = tl.entries
+            for x in range(n):
+                ekx = ek[x]
+                elx = el[x]
+                for y in range(n):
+                    exy = ekx[y]
+                    ely = el[y]
+                    for z in range(n):
+                        lhs = el[exy][z]
+                        rhs = ek[elx[z]][ely[z]]
+                        if lhs != rhs:
+                            return k, l, x, y, z, lhs, rhs
+    return None
+
+
 def validate_shelf(table: BinaryOpTable) -> Shelf:
     """Certify (x*y)*z == (x*z)*(y*z) on all triples.
 
     Raises DistributivityViolation carrying the lexicographically first
     violating triple.
     """
-    t = table.entries
-    n = len(t)
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            txy = t[tx[y]]
-            ty = t[y]
-            for z in range(n):
-                lhs = txy[z]
-                rhs = t[tx[z]][ty[z]]
-                if lhs != rhs:
-                    raise DistributivityViolation(x, y, z, lhs, rhs)
+    bad = _first_violation((table,))
+    if bad:
+        raise DistributivityViolation(*bad[2:])
     return Shelf(table)
 
 
@@ -131,23 +144,9 @@ def validate_multishelf(tables) -> MultiShelf:
             raise SizeMismatch(
                 f"tables of sizes {n} and {op.size} in one multi-shelf"
             )
-    for k, tk in enumerate(ops):
-        ek = tk.entries
-        for l, tl in enumerate(ops):
-            el = tl.entries
-            for x in range(n):
-                ekx = ek[x]
-                elx = el[x]
-                for y in range(n):
-                    exy = ekx[y]
-                    ely = el[y]
-                    for z in range(n):
-                        lhs = el[exy][z]
-                        rhs = ek[elx[z]][ely[z]]
-                        if lhs != rhs:
-                            raise MutualDistributivityViolation(
-                                k, l, x, y, z, lhs, rhs
-                            )
+    bad = _first_violation(ops)
+    if bad:
+        raise MutualDistributivityViolation(*bad)
     return MultiShelf(ops)
 
 

@@ -8,7 +8,6 @@ from shelfhom.chain import (
     basis_index,
     boundary_matrix,
     build_complex,
-    degenerate_free_tuples,
     homology_groups,
     index_tuple,
     preset_complex,
@@ -262,11 +261,6 @@ def test_quandle_quotient_dimensions():
     assert cx.dims == tuple(n * (n - 1) ** d if d else n for d in range(4))
     for d in range(1, 4):
         assert cx.boundary(d - 1).matmul(cx.boundary(d)).is_zero()
-
-
-def test_degenerate_free_tuples():
-    assert degenerate_free_tuples(2, 0) == [(0,), (1,)]
-    assert degenerate_free_tuples(2, 2) == [(0, 1, 0), (1, 0, 1)]
 
 
 def test_quandle_quotient_against_dense_oracle(labelled_by_size):

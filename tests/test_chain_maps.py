@@ -7,12 +7,11 @@ from shelfhom.chain import (
     build_complex,
     homology_groups,
     left_normed_tuple_map,
-    simplicial_projection_map,
 )
 from shelfhom.errors import ChainMapViolation
 from shelfhom.families import BooleanMultiShelf, construct_family
 from shelfhom.intmat import identity_matrix
-from shelfhom.simplicial import build_shelf_complex
+from shelfhom.simplicial import build_shelf_complex, simplicial_projection_map
 from shelfhom.tables import (
     BinaryOpTable,
     MultiShelf,

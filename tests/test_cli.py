@@ -232,6 +232,41 @@ def test_scan_hyperplane_command(tmp_path, capsys):
     assert "generic_ranks" in doc["summary"]
 
 
+@pytest.mark.parametrize("radius", ["5", "1000000"])
+def test_scan_boolean_refuses_a_grid_over_1000_points(capsys, radius):
+    # the cap is checked before the (2r+1)^3 grid is built, so this is quick
+    code, out, err = run(
+        capsys, "scan", "--which", "boolean", "--radius", radius,
+        "--maxdeg", "0", "--no-timestamp",
+    )
+    assert (code, out) == (3, "")
+    points = (2 * int(radius) + 1) ** 3
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": f"radius {radius} gives {points} coefficient vectors, over the cap 1000",
+    }
+    # radius 4, 729 points, is under the cap
+    code, out, _ = run(
+        capsys, "scan", "--which", "boolean", "--radius", "4",
+        "--maxdeg", "0", "--no-timestamp",
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["points"] == 729
+
+
+@pytest.mark.parametrize("command", ["validate", "homology"])
+@pytest.mark.parametrize("doc", [
+    {"size": True, "ops": [[[0]]]},
+    {"size": 2, "ops": [[[0, True], [0, 1]]]},
+    {"size": 2, "ops": [[[0, 0], [1, 1]]], "labels": [0, 1]},
+], ids=["boolean-size", "boolean-entry", "integer-labels"])
+def test_json_booleans_and_non_string_labels_are_exit_2(tmp_path, capsys, command, doc):
+    code, out, err = run(capsys, command, "--input", write(tmp_path, doc),
+                         "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("flag", ["--samples", "--bound"])
 def test_scan_hyperplane_rejects_zero_samples_or_bound(tmp_path, capsys, flag):
     path = write(tmp_path, BOOLEAN3_DOC)
@@ -491,6 +526,39 @@ def test_enumerate_four_elements_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a1c77896a327dc33dba44063a79399e601861971739afe8746c7327523c1d6db"
     )
+
+
+# --no-timestamp reports whose bytes depend on the report serializers:
+# (argv, input document or None, sha256 of stdout).
+PINNED_REPORTS = {
+    "scan-growth": (["scan", "--which", "growth", "--size", "3"], None,
+                    "a5904f563c5738a145d8f32479aa3b39f6c3d651262438dc8f9d5f6853665826"),
+    "scan-example4": (["scan", "--which", "example4", "--size", "3"], None,
+                      "da4fb3242123e0271327f00e53d5778ba677b5338cc62dd7ac9043ba91ccdee1"),
+    "scan-boolean": (["scan", "--which", "boolean", "--radius", "1"], None,
+                     "50a6b650f57922051af1d4ef7254a88685c634f0b0fd19daf54d48a7ecba60f3"),
+    "scan-hyperplane": (["scan", "--which", "hyperplane", "--samples", "10",
+                         "--seed", "3", "--maxdeg", "1"], BOOLEAN3_DOC,
+                        "c07398c4a46663ec597d535002c883d00796b2c6a7c9f1bbbc474e270212084c"),
+    "torsion-hunt": (["torsion-hunt", "--size", "3"], None,
+                     "c8132777e173d68ef2e3825ab79e58fb00c5c65f556d470b2a10b4bb7e8703d5"),
+    "orbits": (["orbits"], PAPER_DOC,
+               "63c89b76c53997e0312cb4821fb67dec4fc8f4ab889e1ea3910a8ca727631866"),
+    "validate-shelf": (["validate"], PAPER_DOC,
+                       "7327b966ea0e27e964eb446c9e88cb4519b711360d403eaad3b330709c5233d3"),
+    "validate-multi": (["validate"], BOOLEAN3_DOC,
+                       "9f4e1ea2c48e5d3b72805188f813d7cd24e3cbd21cb345fd39cc30a838aedf49"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_REPORTS))
+def test_report_digest_is_pinned(tmp_path, capsys, case):
+    argv, doc, digest = PINNED_REPORTS[case]
+    if doc is not None:
+        argv = [*argv, "--input", write(tmp_path, doc)]
+    code, out, err = run(capsys, *argv, "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scan_with_jobs_flag_matches_sequential(capsys):

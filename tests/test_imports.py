@@ -1,0 +1,28 @@
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import shelfhom
+
+# Each module is imported first in its own clean slate, so an import cycle
+# that only one entry point reaches fails here rather than for a user.
+CHILD = """
+import importlib, sys
+sys.path.insert(0, {root!r})
+for name in {names!r}:
+    for loaded in [m for m in sys.modules if m.split(".")[0] == "shelfhom"]:
+        del sys.modules[loaded]
+    importlib.import_module(name)
+"""
+
+
+def test_each_module_imports_on_its_own():
+    root = str(Path(shelfhom.__file__).resolve().parent.parent)
+    names = ["shelfhom." + m.name for m in pkgutil.iter_modules(shelfhom.__path__)]
+    assert "shelfhom.simplicial" in names and "shelfhom.chain" in names
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD.format(root=root, names=names)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr

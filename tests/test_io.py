@@ -44,6 +44,9 @@ def test_round_trip_multi_op():
     {"size": 2, "ops": [[[0, 0], [1]]]},     # ragged
     {"size": 2, "ops": [[[0, 7], [1, 1]]]},  # entry out of range
     {"size": 2, "ops": [[[0, 0], [1, 1]]], "labels": ["only-one"]},
+    {"size": 2, "ops": [[[0, 0], [1, 1]]], "labels": [0, 1]},  # not strings
+    {"size": True, "ops": [[[0]]]},          # JSON true is not a size
+    {"size": 2, "ops": [[[0, True], [0, 1]]]},  # nor a table entry
 ])
 def test_structural_problems_raise_parse_error(doc):
     with pytest.raises(ParseError):
