@@ -7,6 +7,8 @@ table entries in row-major order, checking every instance of the
 distributivity law as soon as its five lookups are determined.  The census
 runs the same recursion as orderly generation (Read 1978; McKay 1998), so
 each class's canonical table is the only one of its class to come out.
+The key and the census's prune share one comparator, which compares
+relabelled rows in order and stops at the first row that differs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,25 @@ class IsoClassKey:
         )
 
 
+def _relabellings(n: int):
+    """(perm, pinv) for each relabelling x -> perm[x], the identity first."""
+    for perm in permutations(range(n)):
+        yield perm, [perm.index(x) for x in range(n)]
+
+
+def _smaller(t, perm, pinv, target, r: int) -> bool:
+    """Does relabelling t by perm give rows 0..r-1 smaller than target's?
+    Row x of the image is determined while pinv[x] < r."""
+    for x, px in enumerate(pinv):
+        if px >= r:
+            return False
+        src = t[px]
+        image = [perm[src[q]] for q in pinv]
+        if image != target[x]:
+            return image < target[x]
+    return False
+
+
 def canonical_form(table: BinaryOpTable) -> IsoClassKey:
     """Lexicographic minimum over all n! relabellings (guarded at n = 8)."""
     n = table.size
@@ -46,18 +67,12 @@ def canonical_form(table: BinaryOpTable) -> IsoClassKey:
         raise PracticalSizeLimit(
             f"canonical form is factorial in n; refusing n = {n} > {CANONICAL_SIZE_LIMIT}"
         )
-    t = table.entries
-    best = None
-    pinv = [0] * n
-    for perm in permutations(range(n)):
-        for i, p in enumerate(perm):
-            pinv[p] = i
-        flat = tuple(
-            perm[t[px][py]] for px in pinv for py in pinv
-        )
-        if best is None or flat < best:
-            best = flat
-    return IsoClassKey(best)
+    t = [list(row) for row in table.entries]
+    best = t
+    for perm, pinv in _relabellings(n):
+        if _smaller(t, perm, pinv, best, n):
+            best = [[perm[t[px][py]] for py in pinv] for px in pinv]
+    return IsoClassKey(tuple(v for row in best for v in row))
 
 
 def enumerate_shelf_tables(n: int, canonical: bool = False):
@@ -92,10 +107,8 @@ def enumerate_shelf_tables(n: int, canonical: bool = False):
         k = max(a * n + b, a * n + c, b * n + c)
         static_group[k].append((a, b, c))
 
-    # (perm, pinv) for every relabelling x -> perm[x] but the identity,
-    # which permutations() yields first.
-    perms = list(permutations(range(n)))[1:] if canonical else []
-    relabellings = [(p, [p.index(x) for x in range(n)]) for p in perms]
+    # every relabelling but the identity, which never beats t
+    relabellings = list(_relabellings(n))[1:] if canonical else []
 
     results = []
 
@@ -119,23 +132,10 @@ def enumerate_shelf_tables(n: int, canonical: bool = False):
                 return None
         return carry
 
-    def beaten(r):
-        # Some relabelling maps rows 0..r-1 to a smaller determined prefix.
-        for perm, pinv in relabellings:
-            for x in range(n):
-                if pinv[x] >= r:
-                    break
-                src = t[pinv[x]]
-                image = [perm[src[q]] for q in pinv]
-                if image != t[x]:
-                    if image < t[x]:
-                        return True
-                    break
-        return False
-
     def rec(k, pending):
         x, y = divmod(k, n)
-        if y == 0 and x and beaten(x):
+        if y == 0 and x and any(_smaller(t, perm, pinv, t, x)
+                                for perm, pinv in relabellings):
             return
         if k == n2:
             results.append(

@@ -79,9 +79,9 @@ def as_multishelf(structure) -> MultiShelf:
     raise SizeMismatch(f"expected Shelf or MultiShelf, got {type(structure).__name__}")
 
 
-def _assemble(ms, coefficients, degree, columns, rows=None) -> dict[tuple[int, int], int]:
-    """Entries of sum_k c_k d^k on the degree-d tuples with the given basis
-    indices, keyed (row, tuple index of the column).
+def _assemble(ms, coefficients, degree, rows=None) -> dict[tuple[int, int], int]:
+    """Entries of sum_k c_k d^k on the degree-d tuples, keyed (row, tuple
+    index of the column).
 
     Face i of the tuple with index x lies on row P_i[x // s] * s + x % s,
     s = n^(d-i), where P_i[c] indexes (x_0*x_i, ..., x_{i-1}*x_i) for the
@@ -103,7 +103,7 @@ def _assemble(ms, coefficients, degree, columns, rows=None) -> dict[tuple[int, i
             s = n ** (degree - i)
             terms.append((s, [p * s for p in prefix], c if i % 2 == 0 else -c))
     data: dict[tuple[int, int], int] = {}
-    for x in columns:
+    for x in range(n ** (degree + 1)):
         for s, table, c in terms:
             q, r = divmod(x, s)
             row = table[q] + r
@@ -138,7 +138,7 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
         if not augmented:
             return SparseIntMatrix(0, n, {})
         return SparseIntMatrix._raw(1, n, {(0, j): 1 for j in range(n)})
-    data = _assemble(ms, coefficients, degree, range(n ** (degree + 1)))
+    data = _assemble(ms, coefficients, degree)
     return SparseIntMatrix._raw(n ** degree, n ** (degree + 1), data)
 
 
@@ -291,7 +291,7 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
         # nondegenerate tuples extend nondegenerate ones, in ascending index
         cols = {x: j for j, x in enumerate(
             y * n + v for y in rows for v in range(n) if v != y % n)}
-        faces = _assemble(ms, coefficients, d, range(n ** (d + 1)), rows)
+        faces = _assemble(ms, coefficients, d, rows)
         # d(D) must live in D: no degenerate column may keep a term
         leaks = [x for _, x in faces if x not in cols]
         if leaks:

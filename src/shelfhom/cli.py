@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import errors
-from .census import canonical_form, enumerate_shelves
+from .census import CANONICAL_SIZE_LIMIT, canonical_form, enumerate_shelves
 from .chain import DEFAULT_MEMORY_CAP, as_multishelf, homology_groups, preset_complex
 from .io import dump_report, finish_report, load_structure, structure_to_doc
 from .orbits import classify, left_orbits, orbit_quotient
@@ -47,13 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", metavar="PATH", help="structure JSON document")
     common.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
-    common.add_argument("--maxdeg", metavar="K", type=int, default=None,
-                        help="top degree to compute (top dimension for simplicial)")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit generated_at for byte-identical reruns")
     # flags that only some subcommands read; the others refuse them
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", metavar="PATH", help="structure JSON document")
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--maxdeg", metavar="K", type=int, default=None,
+                        help="top degree to compute (top dimension for simplicial)")
     augmented = argparse.ArgumentParser(add_help=False)
     augmented.add_argument("--augmented", choices=["on", "off", "default"], default="default",
                            help="augmentation override; default depends on the kind")
@@ -61,13 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--jobs", metavar="K", type=_at_least_one, default=1,
                       help="worker processes for independent scan jobs")
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[common, source],
                        help="check the distributivity laws of an input document")
 
-    p = sub.add_parser("orbits", parents=[common],
+    p = sub.add_parser("orbits", parents=[common, source],
                        help="left orbits and the orbit quotient of a shelf")
 
-    p = sub.add_parser("homology", parents=[common, augmented],
+    p = sub.add_parser("homology", parents=[common, source, degree, augmented],
                        help="shelf/rack/quandle/multi-shelf homology groups")
     p.add_argument("--cap", metavar="BYTES", type=_at_least_one, default=DEFAULT_MEMORY_CAP,
                    help="basis-element cap guarding complex construction")
@@ -78,14 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-matrices", metavar="DIR",
                    help="also write boundary matrices as triplet CSV files")
 
-    p = sub.add_parser("simplicial", parents=[common],
+    p = sub.add_parser("simplicial", parents=[common, source, degree],
                        help="the shelf complex, its components and homology")
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="isomorphism classes of shelves of a given size")
     p.add_argument("--size", type=int, required=True)
 
-    p = sub.add_parser("scan", parents=[common, augmented, jobs],
+    p = sub.add_parser("scan", parents=[common, source, degree, augmented, jobs],
                        help="conjecture scans (report-only, never assertions)")
     p.add_argument("--which", choices=["growth", "example4", "boolean", "hyperplane"],
                    required=True)
@@ -96,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("torsion-hunt", parents=[common, jobs],
+    p = sub.add_parser("torsion-hunt", parents=[common, degree, jobs],
                        help="list iso classes with torsion in low degrees")
     p.add_argument("--size", type=int, required=True)
 
@@ -139,7 +141,7 @@ def _groups_doc(groups) -> list:
 
 def _structure_key(structure) -> list:
     if isinstance(structure, Shelf):
-        if structure.size <= 8:
+        if structure.size <= CANONICAL_SIZE_LIMIT:
             return list(canonical_form(structure.table).flat)
         return list(structure.table.flat())
     flat = []

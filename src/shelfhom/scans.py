@@ -21,7 +21,7 @@ from itertools import product
 
 from .census import canonical_form, enumerate_shelves
 from .chain import preset_homology
-from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange
+from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange, SpecPreconditionFailed
 from .families import BooleanMultiShelf, PointedMap, construct_family
 from .orbits import left_orbits
 from .tables import BinaryOpTable, Shelf, validate_multishelf
@@ -79,6 +79,14 @@ def _ranks(job_list, jobs):
             for groups in _pool_map(_groups, job_list, jobs)]
 
 
+def _check_class_scan(name: str, size: int, maxdeg: int):
+    """The caps of a scan over classes, checked before any class is built."""
+    if size > 4:
+        raise CapExceeded(f"{name} capped at size 4, got {size}")
+    if maxdeg < 0:
+        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
+
+
 def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
     """rank H_{d+1} = |X| * rank H_d for d >= |X| - 2, over all iso classes.
 
@@ -87,10 +95,7 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
     degree-1 rank is (r-1)*r): an excess in either direction witnesses the
     induced map on homology failing to be injective resp. surjective.
     """
-    if size > 4:
-        raise CapExceeded(f"growth scan capped at size 4, got {size}")
-    if maxdeg < 0:
-        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
+    _check_class_scan("growth scan", size, maxdeg)
     keys = enumerate_shelves(size)
     report = ScanReport("growth", {"size": size, "maxdeg": maxdeg})
     rank_lists = _ranks([(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs)
@@ -140,28 +145,24 @@ def pointed_map_shelves(size: int):
 
 
 def is_pointed_map_type(table: BinaryOpTable) -> bool:
-    """Does the table have the x*y = (g(y) if x=b else y) shape for some b?
+    """Is the table the PointedMap family's x*y = (g(y) if x=b else y) for
+    some b, with g its row b?
 
     The shape test is isomorphism-invariant, so it can be applied to any
     class representative directly.
     """
-    n = table.size
-    ident = tuple(range(n))
-    for b in range(n):
-        if any(table.entries[x] != ident for x in range(n) if x != b):
-            continue
-        g = table.entries[b]
-        if all((g[x] == b) == (x == b) for x in range(n)):
-            return True
+    for b, g in enumerate(table.entries):
+        try:
+            if construct_family(PointedMap(b=b, g=g)).table == table:
+                return True
+        except SpecPreconditionFailed:  # g^-1(b) is not {b}
+            pass
     return False
 
 
 def scan_example4(size: int, maxdeg: int = 3, jobs: int = 1) -> ScanReport:
     """Pointed-map family rank formula |X|^(d-1)*(2+(|X|+1)*(r-2)), d >= 1."""
-    if size > 4:
-        raise CapExceeded(f"example4 scan capped at size 4, got {size}")
-    if maxdeg < 0:
-        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
+    _check_class_scan("example4 scan", size, maxdeg)
     shelves = pointed_map_shelves(size)
     report = ScanReport("example4", {"size": size, "maxdeg": maxdeg})
     rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
@@ -251,15 +252,13 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
         )
     nops = len(ms.ops)
     rng = random.Random(seed)
-    vectors = []
-    seen = set()
-    while len(vectors) < samples:
+    # distinct nonzero draws in draw order; the box holds (2b+1)^nops - 1
+    wanted = min(samples, (2 * bound + 1) ** nops - 1)
+    vectors = {}
+    while len(vectors) < wanted:
         vec = tuple(rng.randint(-bound, bound) for _ in range(nops))
-        if any(vec) and vec not in seen:
-            seen.add(vec)
-            vectors.append(vec)
-        if len(seen) >= (2 * bound + 1) ** nops - 1:
-            break
+        if any(vec):
+            vectors[vec] = None
     rank_lists = _ranks(
         [(ms, "multi", maxdeg, vec, augmented) for vec in vectors], jobs
     )
@@ -290,9 +289,7 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
             verdict=CONSISTENT if is_generic else INCONSISTENT,
         ))
     report.summary["generic_ranks"] = list(generic)
-    report.summary["exceptional_fraction"] = (
-        exceptional / len(vectors) if vectors else 0.0
-    )
+    report.summary["exceptional_fraction"] = exceptional / len(vectors)
     return report.finish()
 
 
@@ -302,10 +299,7 @@ def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> ScanReport:
     Each find is flagged when the class has the pointed-map shape of the
     known torsion examples.
     """
-    if size > 4:
-        raise CapExceeded(f"torsion hunt capped at size 4, got {size}")
-    if maxdeg < 0:
-        raise DegreeNegative(f"maxdeg {maxdeg} < 0")
+    _check_class_scan("torsion hunt", size, maxdeg)
     keys = enumerate_shelves(size)
     report = ScanReport("torsion-hunt", {"size": size, "maxdeg": maxdeg})
     group_lists = _pool_map(

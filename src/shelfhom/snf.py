@@ -37,6 +37,17 @@ from math import gcd, lcm
 from .intmat import SparseIntMatrix
 
 
+def _check_chain(factors, least):
+    """Raise ValueError unless each factor is >= least and divides the next."""
+    prev = 1
+    for f in factors:
+        if f < least:
+            raise ValueError(f"factor {f} is below {least}")
+        if f % prev:
+            raise ValueError(f"factors {prev}, {f} break the divisibility chain")
+        prev = f
+
+
 @dataclass(frozen=True)
 class SmithForm:
     """Invariant factors s1 | s2 | ... | sr of an integer matrix.
@@ -49,15 +60,7 @@ class SmithForm:
     paired: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
-        prev = None
-        for f in self.factors:
-            if f <= 0:
-                raise ValueError(f"invariant factor {f} must be positive")
-            if prev is not None and f % prev:
-                raise ValueError(
-                    f"factors {prev}, {f} break the divisibility chain"
-                )
-            prev = f
+        _check_chain(self.factors, 1)
 
     @property
     def rank(self) -> int:
@@ -78,13 +81,7 @@ class HomologyGroup:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError(f"negative free rank {self.rank}")
-        prev = None
-        for f in self.torsion:
-            if f <= 1:
-                raise ValueError(f"torsion coefficient {f} must exceed 1")
-            if prev is not None and f % prev:
-                raise ValueError("torsion breaks the divisibility chain")
-            prev = f
+        _check_chain(self.torsion, 2)
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion

@@ -41,7 +41,7 @@ class BinaryOpTable:
                     f"ragged table: row of length {len(row)} in a size-{n} table"
                 )
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise OutOfRange(f"table entry {v!r} outside 0..{n - 1}")
 
     @property

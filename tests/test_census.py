@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 from math import factorial
 
@@ -61,6 +62,37 @@ def test_canonical_form_is_relabelling_invariant(data):
     )
     perm = tuple(data.draw(st.permutations(range(n))))
     assert canonical_form(table) == canonical_form(relabel(table, perm))
+
+
+def _random_table(n, seed):
+    rng = random.Random(seed)
+    return BinaryOpTable(tuple(
+        tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)
+    ))
+
+
+def _dihedral(n):
+    return BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n)
+
+
+# seeded random tables, nearly all of them not shelves, and the dihedral
+# quandles R3, R5 and R7
+LEX_MIN_CASES = {
+    **{f"random-n{n}-{seed}": _random_table(n, seed)
+       for n in range(1, 7) for seed in range(3)},
+    **{f"R{n}": _dihedral(n) for n in (3, 5, 7)},
+}
+
+
+@pytest.mark.parametrize("case", list(LEX_MIN_CASES))
+def test_canonical_form_is_the_lex_min_relabelling(case):
+    table = LEX_MIN_CASES[case]
+    n = table.size
+    expected = min(
+        oracles.relabel_flat(table.flat(), n, perm)
+        for perm in permutations(range(n))
+    )
+    assert canonical_form(table).flat == expected
 
 
 def test_two_element_shelves_is_the_paper_list():

@@ -305,7 +305,10 @@ def test_scan_boolean_rejects_negative_radius(capsys):
     ["simplicial", "--cap", "64"],
     ["homology", "--jobs", "2"],
     ["orbits", "--augmented", "on"],
-], ids=["validate-cap", "simplicial-cap", "homology-jobs", "orbits-augmented"])
+    ["validate", "--maxdeg", "3"],
+    ["orbits", "--maxdeg", "3"],
+], ids=["validate-cap", "simplicial-cap", "homology-jobs", "orbits-augmented",
+        "validate-maxdeg", "orbits-maxdeg"])
 def test_flag_of_another_subcommand_is_exit_2(tmp_path, capsys, argv):
     path = write(tmp_path, PAPER_DOC)
     code, out, err = run(capsys, *argv, "--input", path, "--no-timestamp")
@@ -314,6 +317,21 @@ def test_flag_of_another_subcommand_is_exit_2(tmp_path, capsys, argv):
     assert json.loads(err) == {
         "error": "ParseError",
         "message": f"unrecognized arguments: {argv[1]} {argv[2]}",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--size", "1", "--maxdeg", "3"],
+    ["enumerate", "--size", "1", "--input", "/nonexistent"],
+    ["torsion-hunt", "--size", "1", "--input", "/nonexistent"],
+], ids=["enumerate-maxdeg", "enumerate-input", "torsion-hunt-input"])
+def test_flag_of_a_command_that_reads_no_document_is_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"unrecognized arguments: {argv[3]} {argv[4]}",
     }
 
 
@@ -528,8 +546,16 @@ def test_enumerate_four_elements_report_is_pinned(capsys):
     )
 
 
-# --no-timestamp reports whose bytes depend on the report serializers:
-# (argv, input document or None, sha256 of stdout).
+R7_DOC = {
+    "size": 7,
+    "ops": [[[(2 * y - x) % 7 for y in range(7)] for x in range(7)]],
+}
+# x*y = x+1 mod 8: a shelf at the size guard of the class key
+SHIFT8_DOC = {"size": 8, "ops": [[[(x + 1) % 8] * 8 for x in range(8)]]}
+
+# --no-timestamp reports whose bytes depend on the report serializers or,
+# for homology, on the class key: (argv, input document or None, sha256 of
+# stdout).
 PINNED_REPORTS = {
     "scan-growth": (["scan", "--which", "growth", "--size", "3"], None,
                     "a5904f563c5738a145d8f32479aa3b39f6c3d651262438dc8f9d5f6853665826"),
@@ -548,6 +574,17 @@ PINNED_REPORTS = {
                        "7327b966ea0e27e964eb446c9e88cb4519b711360d403eaad3b330709c5233d3"),
     "validate-multi": (["validate"], BOOLEAN3_DOC,
                        "9f4e1ea2c48e5d3b72805188f813d7cd24e3cbd21cb345fd39cc30a838aedf49"),
+    "homology-r7-rack": (["homology", "--kind", "rack", "--maxdeg", "2"], R7_DOC,
+                         "847aeb98346190fa9904cf67d477efcc93a36a099131f8d518e88512822e2ba4"),
+    "homology-r3-quandle": (["homology", "--kind", "quandle", "--maxdeg", "7"], RACK_DOC,
+                            "046f2707b63e5b811631ba43a10ced8d39a52e1591dcf3fbde51c3fc0afb0086"),
+    "homology-paper": (["homology", "--maxdeg", "4"], PAPER_DOC,
+                       "fe58bfaba3bb5ddc34b974a6a68963ec8f1274fd0c51c5c1b47b038a1240d7cc"),
+    "homology-shift8": (["homology", "--maxdeg", "2"], SHIFT8_DOC,
+                        "f74fcd7a5438ebbd2ebd46e66a06dd1016d8890f109da8684ea3a6604d1d9c72"),
+    "homology-multi": (["homology", "--kind", "multi", "--coefficients", "1,-1,2"],
+                       BOOLEAN3_DOC,
+                       "5df15724ee10264638793aa618ca279392d425cd3c561a1196ca75310e53fdd7"),
 }
 
 
@@ -614,8 +651,10 @@ def test_negative_size_is_exit_2(capsys, argv):
 @pytest.mark.parametrize("maxdeg", ["-1", "-3"])
 def test_negative_maxdeg_is_exit_2(tmp_path, capsys, argv, maxdeg):
     path = write(tmp_path, RACK_DOC)  # R_3 is a quandle, so both kinds take it
+    # the hunt reads no document, so it refuses --input
+    source = [] if argv[0] == "torsion-hunt" else ["--input", path]
     code, out, err = run(
-        capsys, *argv, "--input", path, "--maxdeg", maxdeg, "--no-timestamp",
+        capsys, *argv, *source, "--maxdeg", maxdeg, "--no-timestamp",
     )
     assert code == 2
     assert out == ""

@@ -37,6 +37,8 @@ def table_mod(n, fn):
 def test_table_entry_range_checked():
     with pytest.raises(OutOfRange):
         BinaryOpTable.from_rows([[0, 2], [0, 1]])
+    with pytest.raises(OutOfRange):  # bool is an int subclass, not an entry
+        BinaryOpTable(((0, True), (0, 1)))
     with pytest.raises(SizeMismatch):
         BinaryOpTable.from_rows([[0, 1], [0]])
 
