@@ -79,37 +79,42 @@ def as_multishelf(structure) -> MultiShelf:
     raise SizeMismatch(f"expected Shelf or MultiShelf, got {type(structure).__name__}")
 
 
-def _assemble(ms, coefficients, degree, rows=None) -> dict[tuple[int, int], int]:
-    """Entries of sum_k c_k d^k on the degree-d tuples, keyed (row, tuple
-    index of the column).
+def _face_tables(ms, coefficients, degree):
+    """(i, (-1)^i c_k, P_i) for each operation with c_k != 0 and each face i.
 
-    Face i of the tuple with index x lies on row P_i[x // s] * s + x % s,
-    s = n^(d-i), where P_i[c] indexes (x_0*x_i, ..., x_{i-1}*x_i) for the
-    (x_0..x_i) of index c; P_i is filled from P_{i-1} once per operation.
-    ``rows``, if given, maps the kept tuple-basis rows to matrix rows, and
-    faces on other rows are dropped before they are added.  Columns are the
-    outer loop, so what cancels within a column (face 0 under (op, identity)
-    always does) is gone before the next one, and entries come in column
-    order, which the SNF's tie-breaks follow.
+    P_i[q] indexes (x_0*x_i, ..., x_{i-1}*x_i) for the (x_0..x_i) of index
+    q, so face i of the degree-d tuple x = q * s + r, s = n^(d-i), lies on
+    row P_i[q] * s + r.  P_i is filled from P_{i-1}.
     """
     n = ms.size
-    terms = []
+    out = []
     for t, c in [(op.entries, c) for op, c in zip(ms.ops, coefficients) if c]:
         prefix = [0] * n
         for i in range(degree + 1):
             if i:  # P_{i-1} of (x_0..x_{i-2}, x_i), then x_{i-1} * x_i
                 prefix = [prefix[y // (n * n) * n + y % n] * n + t[y // n % n][y % n]
                           for y in range(n ** (i + 1))]
-            s = n ** (degree - i)
-            terms.append((s, [p * s for p in prefix], c if i % 2 == 0 else -c))
+            out.append((i, c if i % 2 == 0 else -c, prefix))
+    return out
+
+
+def _assemble(ms, coefficients, degree) -> dict[tuple[int, int], int]:
+    """Entries of sum_k c_k d^k on the degree-d tuples, keyed (row, column).
+
+    Columns are the outer loop, so what cancels within a column (face 0
+    under (op, identity) always does) is gone before the next one, and
+    entries come in column order, which the SNF's tie-breaks follow.
+    """
+    n = ms.size
+    terms = []
+    for i, c, prefix in _face_tables(ms, coefficients, degree):
+        s = n ** (degree - i)
+        terms.append((s, [p * s for p in prefix], c))
     data: dict[tuple[int, int], int] = {}
     for x in range(n ** (degree + 1)):
         for s, table, c in terms:
             q, r = divmod(x, s)
-            row = table[q] + r
-            if rows is not None and (row := rows.get(row)) is None:
-                continue
-            key = (row, x)
+            key = (table[q] + r, x)
             v = data.get(key, 0) + c
             if v:
                 data[key] = v
@@ -180,10 +185,13 @@ class ChainComplex:
 
 
 def check_memory_cap(size, maxdeg, cap):
-    need = size ** (maxdeg + 2)
+    # n^(maxdeg+2) basis elements, and at least one per built degree, which
+    # bounds a 1-element carrier too
+    need = max(size ** (maxdeg + 2), maxdeg + 2)
     if need > cap:
+        count = f"{size}^{maxdeg + 2}" if size > 1 else f"max({size}^{maxdeg + 2}, {maxdeg + 2})"
         raise MemoryCapExceeded(
-            f"building d_0..d_{maxdeg} needs {size}^{maxdeg + 2} = {need} "
+            f"building d_0..d_{maxdeg} needs {count} = {need} "
             f"<= cap, got cap {cap}; raise the cap to force the computation"
         )
 
@@ -262,6 +270,39 @@ def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
     return homology_groups(cx, maxdeg)
 
 
+def _quotient_faces(ms, coefficients, degree, kept):
+    """Entries of sum_k c_k d^k on the nondegenerate rows, as
+    ((row, tuple index of the column), value) pairs in column order.
+
+    The row of face i of x = q * s + r is the prefix image P_i[q] followed
+    by the suffix r, so only the q and r where both parts are nondegenerate
+    are visited; the row lookup drops joins that repeat an entry.  Terms
+    come face by face, and a stable sort by column then gives each column's
+    entries in the order of :func:`_assemble`'s column-major loop.
+    """
+    n = ms.size
+    rows = kept[degree]
+    data: dict[tuple[int, int], int] = {}
+    for i, c, prefix in _face_tables(ms, coefficients, degree):
+        s = n ** (degree - i)
+        heads, suffixes = kept[i], kept[degree - i]
+        for q, p in enumerate(prefix):
+            if p not in heads:
+                continue
+            row0, x0 = p * s, q * s
+            for r in suffixes:
+                row = rows.get(row0 + r)
+                if row is None:
+                    continue
+                key = (row, x0 + r)
+                v = data.get(key, 0) + c
+                if v:
+                    data[key] = v
+                else:
+                    del data[key]
+    return sorted(data.items(), key=lambda entry: entry[0][1])
+
+
 def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
                              maxdeg: int = 3, augmented: bool = False,
                              cap: int = DEFAULT_MEMORY_CAP) -> ChainComplex:
@@ -269,7 +310,7 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
 
     Degenerate chains (some x_i = x_{i+1}) form a subcomplex for spindles
     under the (op, identity) differentials.  Each degree is assembled once,
-    over every tuple but onto the nondegenerate rows only: a degenerate
+    from the face terms that land on nondegenerate rows only: a degenerate
     column that keeps a term raises a structured error naming the least
     such tuple, and the nondegenerate columns form the quotient matrix.
     """
@@ -286,22 +327,24 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
 
     # degree 0 has no degenerate tuples, so d_0 is the full one
     boundaries = [boundary_matrix(ms, coefficients, 0, augmented)]
-    rows = {x: x for x in range(n)}
+    # kept[k] maps the nondegenerate k-tuples, ascending, to their positions;
+    # they extend the nondegenerate (k-1)-tuples
+    kept = [{0: 0}, {x: x for x in range(n)}]
     for d in range(1, maxdeg + 1):
-        # nondegenerate tuples extend nondegenerate ones, in ascending index
-        cols = {x: j for j, x in enumerate(
-            y * n + v for y in rows for v in range(n) if v != y % n)}
-        faces = _assemble(ms, coefficients, d, rows)
-        # d(D) must live in D: no degenerate column may keep a term
-        leaks = [x for _, x in faces if x not in cols]
-        if leaks:
+        kept.append({x: j for j, x in enumerate(
+            y * n + v for y in kept[d] for v in range(n) if v != y % n)})
+        rows, cols = kept[d], kept[d + 1]
+        faces = _quotient_faces(ms, coefficients, d, kept)
+        # d(D) must live in D: no degenerate column may keep a term, and the
+        # first such column in column order is the least
+        leak = next((x for (_, x), _ in faces if x not in cols), None)
+        if leak is not None:
             raise DegenerateNotSubcomplex(
-                f"d({index_tuple(min(leaks), d + 1, n)}) has a nondegenerate "
+                f"d({index_tuple(leak, d + 1, n)}) has a nondegenerate "
                 f"term at degree {d} for coefficients {coefficients}"
             )
-        data = {(i, cols[x]): v for (i, x), v in faces.items()}
+        data = {(i, cols[x]): v for (i, x), v in faces}
         boundaries.append(SparseIntMatrix._raw(len(rows), len(cols), data))
-        rows = cols
     _check_dd(boundaries, "quotient ")
     return ChainComplex(n, ms.ops, coefficients, augmented, boundaries,
                         kind="quandle-quotient")

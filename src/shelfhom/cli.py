@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     degree.add_argument("--maxdeg", metavar="K", type=int, default=None,
                         help="top degree to compute (top dimension for simplicial)")
     augmented = argparse.ArgumentParser(add_help=False)
-    augmented.add_argument("--augmented", choices=["on", "off", "default"], default="default",
+    augmented.add_argument("--augmented", choices=["on", "off", "default"], default=None,
                            help="augmentation override; default depends on the kind")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", metavar="K", type=_at_least_one, default=1,
@@ -91,12 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="conjecture scans (report-only, never assertions)")
     p.add_argument("--which", choices=["growth", "example4", "boolean", "hyperplane"],
                    required=True)
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--omega", type=int, default=1)
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    # unset unless given, so that a --which that does not read one refuses it
+    # (_SCAN_FLAGS); --size defaults to 3 and --omega to 1
+    for flag in ("--size", "--omega", "--radius", "--samples", "--bound", "--seed"):
+        p.add_argument(flag, type=int)
 
     p = sub.add_parser("torsion-hunt", parents=[common, degree, jobs],
                        help="list iso classes with torsion in low degrees")
@@ -255,24 +253,35 @@ def cmd_enumerate(args):
     return {"size": args.size, "count": len(classes), "classes": classes}
 
 
+# the flags each --which reads besides --maxdeg and --jobs
+_SCAN_FLAGS = {
+    "growth": ("size",),
+    "example4": ("size",),
+    "boolean": ("omega", "radius", "augmented"),
+    "hyperplane": ("input", "samples", "bound", "seed", "augmented"),
+}
+
+
 def cmd_scan(args):
+    for flag in sorted(set().union(*_SCAN_FLAGS.values()) - set(_SCAN_FLAGS[args.which])):
+        if getattr(args, flag) is not None:
+            raise errors.ParseError(f"scan --which {args.which} does not read --{flag}")
     # pass only the options the user gave; each scan declares its defaults
     given = {"jobs": args.jobs}
-    if args.maxdeg is not None:
-        given["maxdeg"] = args.maxdeg
-    if args.which in ("boolean", "hyperplane") and args.augmented != "default":
-        given["augmented"] = _augmented_flag(args)
+    for flag in ("maxdeg", "radius", "samples", "bound", "seed"):
+        if getattr(args, flag) is not None:
+            given[flag] = getattr(args, flag)
+    if (augmented := _augmented_flag(args)) is not None:
+        given["augmented"] = augmented
+    size = 3 if args.size is None else args.size
     if args.which == "growth":
-        report = scan_growth(args.size, **given)
+        report = scan_growth(size, **given)
     elif args.which == "example4":
-        report = scan_example4(args.size, **given)
+        report = scan_example4(size, **given)
     elif args.which == "boolean":
-        report = scan_boolean(args.omega, radius=args.radius, **given)
+        report = scan_boolean(1 if args.omega is None else args.omega, **given)
     else:
-        report = scan_hyperplane(
-            as_multishelf(_need_input(args)), samples=args.samples,
-            bound=args.bound, seed=args.seed, **given,
-        )
+        report = scan_hyperplane(as_multishelf(_need_input(args)), **given)
     return report.to_doc()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -293,6 +294,34 @@ def test_quandle_quotient_matrices_against_dense_oracle(labelled_by_size):
             assert cx.boundary(d).to_dense() == oracles.dense_quandle_boundary(
                 rows, d
             ), (table, d)
+
+
+# sha256 of repr([(shape, list(data.items())), ...]) over the boundaries.
+# The SNF's tie-breaks follow the order in which entries were inserted, so a
+# change to the assembly must keep these digests, not only the matrices.
+@pytest.mark.parametrize("n, kind, coefficients, maxdeg, digest", [
+    (3, "quotient", (1, -1), 8,
+     "f92e2cecb72f23489d9334ac573883acab3a7cf20e35562ae0f2bf91f1d4fdc6"),
+    (5, "quotient", (1, -1), 4,
+     "a2ac3e939bb244b5bc18fbb55e2561450a372d087848ad82dfa324079169034a"),
+    (3, "quotient", (1, 1), 5,
+     "caed1a956597c8d4985d4e467a84b75f032c71c8b4e4a8232b4d9724bfe6ccf5"),
+    (3, "quotient", (2, -1), 5,
+     "7db138f30a70667c8a92fc29f65d4066282c70b0c787247705306fa11595baae"),
+    (7, "rack", (1, -1), 3,
+     "08969bfb3f8726b23c421a8c583c2a9ab9e88b80caa3b8d98470425ab887a8f5"),
+], ids=["R3-quotient", "R5-quotient", "R3-quotient-(1,1)", "R3-quotient-(2,-1)",
+        "R7-rack"])
+def test_boundary_entry_order_is_pinned(n, kind, coefficients, maxdeg, digest):
+    dihedral = BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n)
+    if kind == "rack":
+        ms = MultiShelf((dihedral, identity_op(n)))
+        mats = [boundary_matrix(ms, coefficients, d, augmented=False)
+                for d in range(maxdeg + 1)]
+    else:
+        mats = quandle_quotient_complex(Shelf(dihedral), coefficients, maxdeg).boundaries
+    got = repr([(m.shape, list(m.data.items())) for m in mats])
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 def test_degenerate_subcomplex_check_fires(monkeypatch):

@@ -129,6 +129,25 @@ def test_homology_cap_exit_code(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("kind", ["shelf", "quandle"])
+def test_homology_cap_counts_degrees_of_a_one_element_carrier(tmp_path, capsys, kind):
+    # 1^k never exceeds the cap, but each built degree holds a basis element
+    path = write(tmp_path, {"size": 1, "ops": [[[0]]]})
+    code, out, err = run(
+        capsys, "homology", "--input", path, "--kind", kind,
+        "--maxdeg", "300", "--cap", "1",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "MemoryCapExceeded",
+        "message": "building d_0..d_301 needs max(1^303, 303) = 303 <= cap, "
+                   "got cap 1; raise the cap to force the computation",
+    }
+    code, _, _ = run(capsys, "homology", "--input", path, "--kind", kind,
+                     "--maxdeg", "3", "--cap", "6", "--no-timestamp")
+    assert code == 0
+
+
 # The R_3 quotient boundaries d_0..d_3 exported by `homology --kind quandle
 # --maxdeg 2`, as space-separated row,col,value triplets.
 R3_QUANDLE_CSV = {
@@ -332,6 +351,24 @@ def test_flag_of_a_command_that_reads_no_document_is_exit_2(capsys, argv):
     assert json.loads(err) == {
         "error": "ParseError",
         "message": f"unrecognized arguments: {argv[3]} {argv[4]}",
+    }
+
+
+@pytest.mark.parametrize("which, flag", [
+    ("growth", "--radius 7"), ("growth", "--seed 5"), ("growth", "--augmented on"),
+    ("growth", "--input /nonexistent"), ("growth", "--omega 2"),
+    ("growth", "--samples 3"), ("growth", "--bound 4"),
+    ("example4", "--augmented off"), ("boolean", "--size 9"),
+    ("boolean", "--seed 1"), ("hyperplane", "--radius 1"),
+])
+def test_scan_flag_that_its_which_does_not_read_is_exit_2(capsys, which, flag):
+    # refused before any census, grid or document is touched
+    code, out, err = run(capsys, "scan", "--which", which, "--maxdeg", "1",
+                         *flag.split(), "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"scan --which {which} does not read {flag.split()[0]}",
     }
 
 
@@ -651,8 +688,8 @@ def test_negative_size_is_exit_2(capsys, argv):
 @pytest.mark.parametrize("maxdeg", ["-1", "-3"])
 def test_negative_maxdeg_is_exit_2(tmp_path, capsys, argv, maxdeg):
     path = write(tmp_path, RACK_DOC)  # R_3 is a quandle, so both kinds take it
-    # the hunt reads no document, so it refuses --input
-    source = [] if argv[0] == "torsion-hunt" else ["--input", path]
+    # only homology reads a document here; the hunt and these scans refuse --input
+    source = ["--input", path] if argv[0] == "homology" else []
     code, out, err = run(
         capsys, *argv, *source, "--maxdeg", maxdeg, "--no-timestamp",
     )
