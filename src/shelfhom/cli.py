@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", parents=[common, source, degree, augmented],
                        help="shelf/rack/quandle/multi-shelf homology groups")
-    p.add_argument("--cap", metavar="BYTES", type=_at_least_one, default=DEFAULT_MEMORY_CAP,
+    p.add_argument("--cap", metavar="N", type=_at_least_one, default=DEFAULT_MEMORY_CAP,
                    help="basis-element cap guarding complex construction")
     p.add_argument("--kind", choices=["shelf", "rack", "quandle", "multi"],
                    default="shelf")
@@ -111,10 +111,9 @@ def _need_input(args):
 
 def _need_shelf(args, who="this command") -> Shelf:
     structure = _need_input(args)
+    # io loads a one-table document as a Shelf
     if isinstance(structure, MultiShelf):
-        if len(structure.ops) != 1:
-            raise errors.ParseError(f"{who} needs a single-operation document")
-        structure = Shelf(structure.ops[0])
+        raise errors.ParseError(f"{who} needs a single-operation document")
     return structure
 
 

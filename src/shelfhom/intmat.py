@@ -80,15 +80,14 @@ class SparseIntMatrix:
             raise SizeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        rows_of_other = {}
-        for (j, k), v in other.data.items():
-            rows_of_other.setdefault(j, []).append((k, v))
-        acc = {}
+        # walks other's entries in stored order: stored column by column, the
+        # terms of one product column meet and cancel before the next starts
+        cols_of_self = {}
         for (i, j), a in self.data.items():
-            hits = rows_of_other.get(j)
-            if not hits:
-                continue
-            for k, b in hits:
+            cols_of_self.setdefault(j, []).append((i, a))
+        acc = {}
+        for (j, k), b in other.data.items():
+            for i, a in cols_of_self.get(j, ()):
                 key = (i, k)
                 s = acc.get(key, 0) + a * b
                 if s:

@@ -47,18 +47,9 @@ class ShelfComplex:
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         """Simplices that are not a face of any stored larger simplex."""
-        out = []
-        for dim in range(self.maxdim, -1, -1):
-            for s in self.simplices[dim]:
-                sset = set(s)
-                covered = any(
-                    sset <= set(t)
-                    for higher in range(dim + 1, self.maxdim + 1)
-                    for t in self.simplices[higher]
-                )
-                if not covered:
-                    out.append(s)
-        return sorted(out, key=lambda s: (len(s), s))
+        stored = [s for simplices in self.simplices for s in simplices]
+        faces = {f for s in stored for k in range(1, len(s)) for f in combinations(s, k)}
+        return sorted((s for s in stored if s not in faces), key=lambda s: (len(s), s))
 
 
 def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
@@ -68,7 +59,8 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
     maxdim defaults to n - 1 (a simplex on n vertices cannot be larger, and
     generating tuples longer than n always repeat a product), so only
     dimensions up to n - 1 are enumerated; the higher ones stay empty.  The
-    cap bounds the tuples of the longest length enumerated.
+    cap bounds the tuples of the longest length enumerated, and counts at
+    least one element per listed dimension.
     """
     n = shelf.size
     if maxdim is None:
@@ -76,10 +68,12 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
     if maxdim < 0:
         raise DegreeOutOfRange("maxdim must be nonnegative")
     top = min(maxdim, n - 1)
-    if n ** (top + 1) > cap:
-        raise CapExceeded(
-            f"n^(min(maxdim, n-1)+1) = {n}^{top + 1} exceeds the tuple cap {cap}"
-        )
+    need = max(n ** (top + 1), maxdim + 1)
+    if need > cap:
+        count = (f"n^(min(maxdim, n-1)+1) = {n}^{top + 1}" if need == n ** (top + 1)
+                 else f"max(n^(min(maxdim, n-1)+1), maxdim+1) = "
+                      f"max({n}^{top + 1}, {maxdim + 1}) = {need}")
+        raise CapExceeded(f"{count} exceeds the tuple cap {cap}")
     table = shelf.table
     found: list[set] = [set() for _ in range(maxdim + 1)]
     for d in range(top + 1):

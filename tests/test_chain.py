@@ -16,6 +16,7 @@ from shelfhom.chain import (
     quandle_quotient_complex,
 )
 from shelfhom.errors import (
+    DDNotZero,
     DegenerateNotSubcomplex,
     DegreeNegative,
     DegreeOutOfRange,
@@ -149,6 +150,39 @@ def test_build_complex_verifies_dd_zero():
     cx = build_complex(EXCEPTIONAL3, (1,), 3, augmented=True)
     for d in range(1, 4):
         assert cx.boundary(d - 1).matmul(cx.boundary(d)).is_zero()
+
+
+def test_dd_check_fires_on_a_corrupted_entry(monkeypatch):
+    # one entry of one assembled degree changed: the check names the first
+    # pair d_{d-1} o d_d that no longer vanishes.  d_2's first entry lies on
+    # row (0, 0), whose column of d_1 is zero (0 * 0 = 0), so d_1 o d_2
+    # still vanishes and d_2 o d_3 does not
+    import shelfhom.chain as chain
+
+    assemble, quotient_faces = chain._assemble, chain._quotient_faces
+
+    def corrupt_assemble(ms, coefficients, degree):
+        data = assemble(ms, coefficients, degree)
+        if degree == 2:
+            key = next(iter(data))
+            data[key] += 1
+        return data
+
+    def corrupt_faces(ms, coefficients, degree, kept):
+        faces = quotient_faces(ms, coefficients, degree, kept)
+        if degree == 3:
+            (key, v), *rest = faces
+            faces = [(key, 2 * v)] + rest
+        return faces
+
+    monkeypatch.setattr(chain, "_assemble", corrupt_assemble)
+    with pytest.raises(DDNotZero) as exc:
+        build_complex(EXCEPTIONAL3, (1,), 3)
+    assert str(exc.value) == "d_2 o d_3 != 0"
+    monkeypatch.setattr(chain, "_quotient_faces", corrupt_faces)
+    with pytest.raises(DDNotZero) as exc:
+        quandle_quotient_complex(DIHEDRAL3, (1, -1), 4)
+    assert str(exc.value) == "quotient d_2 o d_3 != 0"
 
 
 def test_build_complex_memory_cap():

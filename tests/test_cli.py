@@ -523,6 +523,20 @@ def test_simplicial_tuple_cap_refuses_a_large_carrier(tmp_path, capsys):
     }
 
 
+def test_simplicial_tuple_cap_counts_dimensions(tmp_path, capsys):
+    # past n - 1 no tuple is enumerated, but each listed dimension is one
+    # more element under the cap
+    doc = {"size": 1, "ops": [[[0]]]}
+    code, out, err = run(capsys, "simplicial", "--input", write(tmp_path, doc),
+                         "--maxdeg", "10000000", "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": "max(n^(min(maxdim, n-1)+1), maxdim+1) = max(1^1, 10000001) "
+                   "= 10000001 exceeds the tuple cap 4194304",
+    }
+
+
 def test_timestamp_present_by_default(tmp_path, capsys):
     path = write(tmp_path, PAPER_DOC)
     code, out, _ = run(capsys, "validate", "--input", path)

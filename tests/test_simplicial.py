@@ -75,6 +75,22 @@ def test_full_triangle_is_contractible():
     assert h0.rank == 1
 
 
+def test_maximal_simplices_of_a_complex_that_is_not_face_closed():
+    # hand-built, with faces missing: (3,) is covered by (2, 3) although
+    # (2,) is not stored, and (4,) by nothing
+    scx = ShelfComplex(
+        size=5,
+        maxdim=3,
+        simplices=(
+            ((0,), (3,), (4,)),
+            ((0, 1), (0, 2), (2, 3)),
+            ((0, 1, 2),),
+            (),
+        ),
+    )
+    assert scx.maximal_simplices() == [(4,), (2, 3), (0, 1, 2)]
+
+
 def test_meet_shelf_has_a_two_cell():
     # chains of three nested distinct subsets generate 2-simplices
     from shelfhom.families import IntersectionShelf
@@ -140,6 +156,10 @@ def test_tuple_cap():
     assert build_shelf_complex(PAPER_4x4, maxdim=9, cap=256).count(1) == 3
     with pytest.raises(CapExceeded, match=r"4\^4 exceeds the tuple cap 255"):
         build_shelf_complex(PAPER_4x4, maxdim=9, cap=255)
+    # and at least one element per listed dimension
+    assert build_shelf_complex(PAPER_4x4, maxdim=255, cap=256).count(1) == 3
+    with pytest.raises(CapExceeded, match=r"max\(4\^4, 257\) = 257 exceeds the tuple cap 256"):
+        build_shelf_complex(PAPER_4x4, maxdim=256, cap=256)
 
 
 def test_groups_match_the_dense_oracle(classes4, labelled_by_size):

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import shelfhom.snf
-from shelfhom.chain import boundary_matrix, preset_homology
+from shelfhom.chain import (
+    boundary_matrix,
+    build_complex,
+    preset_homology,
+    quandle_quotient_complex,
+)
+from shelfhom.errors import SizeMismatch
 from shelfhom.intmat import SparseIntMatrix, identity_matrix
 from shelfhom.snf import (
     HomologyGroup,
@@ -423,3 +429,61 @@ def test_matmul_and_add():
     b = SparseIntMatrix.from_dense([[1, 0], [3, 1]])
     assert a.matmul(b).to_dense() == [[7, 2], [3, 1]]
     assert (-a).to_dense() == [[-1, -2], [0, -1]]
+
+
+def _dense_product(a, b, ncols):
+    # the textbook triple loop on dense rows; shares no code with matmul
+    return [[sum(row[j] * b[j][k] for j in range(len(b))) for k in range(ncols)]
+            for row in a]
+
+
+def _orders(m, rng):
+    """m as stored, and with its entries in column order, row order and shuffled."""
+    by_col = sorted(m.data.items(), key=lambda e: (e[0][1], e[0][0]))
+    by_row = sorted(m.data.items())
+    shuffled = list(m.data.items())
+    rng.shuffle(shuffled)
+    return [m] + [SparseIntMatrix(m.nrows, m.ncols, dict(entries))
+                  for entries in (by_col, by_row, shuffled)]
+
+
+def test_matmul_matches_a_dense_triple_loop():
+    rng = random.Random(16)
+    for _ in range(200):
+        m, inner, p = (rng.randint(0, 6) for _ in range(3))
+        density = rng.choice((0.2, 0.5, 0.9))
+        a = [[rng.choice((1, -1, 2, -3)) if rng.random() < density else 0
+              for _ in range(inner)] for _ in range(m)]
+        b = [[rng.choice((1, -1, 2, -3)) if rng.random() < density else 0
+              for _ in range(p)] for _ in range(inner)]
+        left = SparseIntMatrix.from_dense(a, inner)
+        expected = _dense_product(a, b, p)
+        for factor in _orders(SparseIntMatrix.from_dense(b, p), rng):
+            got = left.matmul(factor)
+            assert got.shape == (m, p)
+            assert got.to_dense() == expected, (a, b)
+            assert 0 not in got.data.values()
+    with pytest.raises(SizeMismatch):
+        SparseIntMatrix(2, 3).matmul(SparseIntMatrix(2, 3))
+
+
+def test_matmul_cancels_to_zero_on_boundaries():
+    # d_{k-1} d_k = 0 through many cancelling terms, for the full tuple
+    # complex and the quandle quotient, whatever order d_k's entries are in
+    rng = random.Random(1105)
+    exceptional = Shelf(BinaryOpTable.from_rows([[0, 1, 2], [0, 1, 2], [0, 0, 2]]))
+    dihedral = Shelf(BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3))
+    rack = MultiShelf((dihedral.table, identity_op(3)))
+    complexes = [
+        build_complex(exceptional, (1,), 3).boundaries,
+        build_complex(rack, (1, -1), 3, augmented=False).boundaries,
+        quandle_quotient_complex(dihedral, (1, -1), 4).boundaries,
+    ]
+    for mats in complexes:
+        for low, high in zip(mats, mats[1:]):
+            dense = _dense_product(low.to_dense(), high.to_dense(), high.ncols)
+            assert all(v == 0 for row in dense for v in row)
+            for factor in _orders(high, rng):
+                product = low.matmul(factor)
+                assert product.shape == (low.nrows, high.ncols)
+                assert product.is_zero()
