@@ -14,19 +14,17 @@ from .chain import (
     quandle_quotient_complex,
 )
 from .families import (
-    BooleanMultiShelf,
-    ConstLeft,
-    IdempotentRight,
-    IdentityOp,
-    IntersectionShelf,
-    PartitionFamily,
-    PointedMap,
-    RightTrivialOp,
-    SubsetSwitch,
-    SubtractionShelf,
-    combine,
-    construct_family,
+    boolean_multishelf,
+    const_left,
+    direct_product,
+    disjoint_union,
+    idempotent_right,
+    intersection_shelf,
+    partition_family,
+    pointed_map,
     strong_retract_extend,
+    subset_switch,
+    subtraction_shelf,
 )
 from .intmat import SparseIntMatrix
 from .orbits import OrbitPartition, classify, left_orbits, orbit_quotient

@@ -32,6 +32,7 @@ from .errors import (
     MemoryCapExceeded,
     NotASpindle,
     OutOfRange,
+    ParseError,
     SizeMismatch,
 )
 from .intmat import SparseIntMatrix
@@ -245,7 +246,7 @@ def preset_complex(structure, kind: str, maxdeg: int, coefficients=None,
     ``augmented`` override the kind's defaults.
     """
     if kind not in PRESETS:
-        raise ValueError(f"unknown preset kind {kind!r}")
+        raise ParseError(f"unknown preset kind {kind!r}")
     if maxdeg < 0:
         raise DegreeNegative(f"maxdeg {maxdeg} < 0")
     preset, default_augmented = PRESETS[kind]

@@ -1,9 +1,9 @@
 """Constructors for the standard shelf and multi-shelf families.
 
-Each family is described by a small frozen dataclass; ``construct_family``
-checks the family's preconditions eagerly, builds the table(s), and runs the
-result back through the validators, so a returned structure is always
-certified.
+Each constructor checks its family's preconditions eagerly, builds the
+table(s), and runs the result back through the validators, so a returned
+structure is always certified.  A failed precondition raises
+SpecPreconditionFailed.
 
 Subsets of a finite ground set Omega are encoded as bitmasks, with subset i
 of the carrier being ``family[i]``.
@@ -11,96 +11,18 @@ of the carrier being ``family[i]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import EmptyList, RetractionNotIdentityOnA, SpecPreconditionFailed
 from .tables import (
     BinaryOpTable,
+    MultiShelf,
     Shelf,
     identity_op,
     right_trivial_op,
     validate_multishelf,
     validate_shelf,
 )
-
-
-@dataclass(frozen=True)
-class ConstLeft:
-    """x*y = f(x) for an arbitrary map f."""
-
-    f: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IdempotentRight:
-    """x*y = g(y) for g with g(g(x)) = g(x)."""
-
-    g: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SubsetSwitch:
-    """x*y = x if y is in A, else y."""
-
-    size: int
-    members: frozenset
-
-
-@dataclass(frozen=True)
-class PointedMap:
-    """x*y = g(y) if x = b, else y; requires g^{-1}(b) = {b}."""
-
-    b: int
-    g: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PartitionFamily:
-    """x*y = g_i(y) for x in block A_i.
-
-    Requires g_i(A_j) within A_j and g_i = g_j o g_i on A_j for all i, j.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    maps: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class IntersectionShelf:
-    """Carrier = a family of subsets closed under intersection, op = meet."""
-
-    omega_size: int
-    family: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SubtractionShelf:
-    """Carrier = a family of subsets closed under set subtraction."""
-
-    omega_size: int
-    family: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BooleanMultiShelf:
-    """All subsets of Omega with the four operations (x*0 y, meet, join, y)."""
-
-    omega_size: int
-
-
-@dataclass(frozen=True)
-class IdentityOp:
-    """x*y = x."""
-
-    size: int
-
-
-@dataclass(frozen=True)
-class RightTrivialOp:
-    """x*y = y."""
-
-    size: int
 
 
 def _check_map(name, f, n):
@@ -111,129 +33,96 @@ def _check_map(name, f, n):
             raise SpecPreconditionFailed(f"{name} value {v} outside 0..{n - 1}")
 
 
-def construct_family(spec):
-    """Build the structure a family spec describes; see the spec classes.
+def const_left(f) -> Shelf:
+    """x*y = f(x) for an arbitrary map f."""
+    n = len(f)
+    _check_map("f", f, n)
+    return validate_shelf(BinaryOpTable(tuple((f[x],) * n for x in range(n))))
 
-    Returns a certified Shelf or MultiShelf; raises SpecPreconditionFailed
-    when the family's hypotheses do not hold.
-    """
-    if isinstance(spec, ConstLeft):
-        n = len(spec.f)
-        _check_map("f", spec.f, n)
-        return validate_shelf(
-            BinaryOpTable(tuple((spec.f[x],) * n for x in range(n)))
-        )
 
-    if isinstance(spec, IdempotentRight):
-        n = len(spec.g)
-        _check_map("g", spec.g, n)
-        for x in range(n):
-            if spec.g[spec.g[x]] != spec.g[x]:
-                raise SpecPreconditionFailed(
-                    f"g is not idempotent: g(g({x})) = {spec.g[spec.g[x]]} != g({x}) = {spec.g[x]}"
-                )
-        row = tuple(spec.g)
-        return validate_shelf(BinaryOpTable((row,) * n))
-
-    if isinstance(spec, SubsetSwitch):
-        n = spec.size
-        members = set(spec.members)
-        if not members <= set(range(n)):
-            raise SpecPreconditionFailed("A is not a subset of the carrier")
-        return validate_shelf(
-            BinaryOpTable.from_function(
-                n, lambda x, y: x if y in members else y
-            )
-        )
-
-    if isinstance(spec, PointedMap):
-        n = len(spec.g)
-        _check_map("g", spec.g, n)
-        if not 0 <= spec.b < n:
-            raise SpecPreconditionFailed(f"base point {spec.b} outside carrier")
-        preimage = {x for x in range(n) if spec.g[x] == spec.b}
-        if preimage != {spec.b}:
+def idempotent_right(g) -> Shelf:
+    """x*y = g(y) for g with g(g(x)) = g(x)."""
+    n = len(g)
+    _check_map("g", g, n)
+    for x in range(n):
+        if g[g[x]] != g[x]:
             raise SpecPreconditionFailed(
-                f"g^-1({spec.b}) = {sorted(preimage)}, must be exactly {{{spec.b}}}"
+                f"g is not idempotent: g(g({x})) = {g[g[x]]} != g({x}) = {g[x]}"
             )
-        return validate_shelf(
-            BinaryOpTable.from_function(
-                n, lambda x, y: spec.g[y] if x == spec.b else y
-            )
-        )
+    return validate_shelf(BinaryOpTable((tuple(g),) * n))
 
-    if isinstance(spec, PartitionFamily):
-        elements = [x for block in spec.blocks for x in block]
-        n = len(elements)
-        if sorted(elements) != list(range(n)):
-            raise SpecPreconditionFailed("blocks do not partition the carrier")
-        if len(spec.maps) != len(spec.blocks):
-            raise SpecPreconditionFailed("one map per block is required")
-        for g in spec.maps:
-            _check_map("g_i", g, n)
-        block_of = {}
-        for i, block in enumerate(spec.blocks):
+
+def subset_switch(size: int, members) -> Shelf:
+    """x*y = x if y is in A = members, else y."""
+    members = set(members)
+    if not members <= set(range(size)):
+        raise SpecPreconditionFailed("A is not a subset of the carrier")
+    return validate_shelf(
+        BinaryOpTable.from_function(size, lambda x, y: x if y in members else y)
+    )
+
+
+def pointed_map(b: int, g) -> Shelf:
+    """x*y = g(y) if x = b, else y; requires g^{-1}(b) = {b}."""
+    n = len(g)
+    _check_map("g", g, n)
+    if not 0 <= b < n:
+        raise SpecPreconditionFailed(f"base point {b} outside carrier")
+    preimage = {x for x in range(n) if g[x] == b}
+    if preimage != {b}:
+        raise SpecPreconditionFailed(
+            f"g^-1({b}) = {sorted(preimage)}, must be exactly {{{b}}}"
+        )
+    return validate_shelf(
+        BinaryOpTable.from_function(n, lambda x, y: g[y] if x == b else y)
+    )
+
+
+def partition_family(blocks, maps) -> Shelf:
+    """x*y = g_i(y) for x in block A_i, with g_i = maps[i].
+
+    Requires g_i(A_j) within A_j and g_i = g_j o g_i on A_j for all i, j.
+    """
+    elements = [x for block in blocks for x in block]
+    n = len(elements)
+    if sorted(elements) != list(range(n)):
+        raise SpecPreconditionFailed("blocks do not partition the carrier")
+    if len(maps) != len(blocks):
+        raise SpecPreconditionFailed("one map per block is required")
+    for g in maps:
+        _check_map("g_i", g, n)
+    block_of = {}
+    for i, block in enumerate(blocks):
+        for x in block:
+            block_of[x] = i
+    for i, gi in enumerate(maps):
+        for j, block in enumerate(blocks):
+            gj = maps[j]
             for x in block:
-                block_of[x] = i
-        for i, gi in enumerate(spec.maps):
-            for j, block in enumerate(spec.blocks):
-                gj = spec.maps[j]
-                for x in block:
-                    if block_of[gi[x]] != j:
-                        raise SpecPreconditionFailed(
-                            f"g_{i} does not preserve block {j}: g_{i}({x}) = {gi[x]}"
-                        )
-                    if gi[x] != gj[gi[x]]:
-                        raise SpecPreconditionFailed(
-                            f"g_{i} != g_{j} o g_{i} at {x} in block {j}"
-                        )
-        return validate_shelf(
-            BinaryOpTable.from_function(
-                n, lambda x, y: spec.maps[block_of[x]][y]
-            )
-        )
-
-    if isinstance(spec, IntersectionShelf):
-        idx = _subset_carrier(spec.omega_size, spec.family)
-        _require_closed(spec.family, idx, lambda a, b: a & b, "intersection")
-        return validate_shelf(
-            BinaryOpTable.from_function(
-                len(spec.family),
-                lambda i, j: idx[spec.family[i] & spec.family[j]],
-            )
-        )
-
-    if isinstance(spec, SubtractionShelf):
-        idx = _subset_carrier(spec.omega_size, spec.family)
-        _require_closed(spec.family, idx, lambda a, b: a & ~b, "subtraction")
-        return validate_shelf(
-            BinaryOpTable.from_function(
-                len(spec.family),
-                lambda i, j: idx[spec.family[i] & ~spec.family[j]],
-            )
-        )
-
-    if isinstance(spec, BooleanMultiShelf):
-        m = spec.omega_size
-        if m < 0:
-            raise SpecPreconditionFailed("omega_size must be nonnegative")
-        n = 1 << m
-        meet = BinaryOpTable.from_function(n, lambda a, b: a & b)
-        join = BinaryOpTable.from_function(n, lambda a, b: a | b)
-        return validate_multishelf(
-            (identity_op(n), meet, join, right_trivial_op(n))
-        )
-
-    if isinstance(spec, IdentityOp):
-        return validate_shelf(identity_op(spec.size))
-
-    if isinstance(spec, RightTrivialOp):
-        return validate_shelf(right_trivial_op(spec.size))
-
-    raise SpecPreconditionFailed(f"unknown family spec {type(spec).__name__}")
+                if block_of[gi[x]] != j:
+                    raise SpecPreconditionFailed(
+                        f"g_{i} does not preserve block {j}: g_{i}({x}) = {gi[x]}"
+                    )
+                if gi[x] != gj[gi[x]]:
+                    raise SpecPreconditionFailed(
+                        f"g_{i} != g_{j} o g_{i} at {x} in block {j}"
+                    )
+    return validate_shelf(
+        BinaryOpTable.from_function(n, lambda x, y: maps[block_of[x]][y])
+    )
 
 
-def _subset_carrier(omega_size, family):
+def intersection_shelf(omega_size: int, family) -> Shelf:
+    """Carrier = a family of subsets closed under intersection, op = meet."""
+    return _subset_shelf(omega_size, family, lambda a, b: a & b, "intersection")
+
+
+def subtraction_shelf(omega_size: int, family) -> Shelf:
+    """Carrier = a family of subsets closed under set subtraction."""
+    return _subset_shelf(omega_size, family, lambda a, b: a & ~b, "subtraction")
+
+
+def _subset_shelf(omega_size, family, op, name):
     if omega_size < 0:
         raise SpecPreconditionFailed("omega_size must be nonnegative")
     full = (1 << omega_size) - 1
@@ -246,10 +135,7 @@ def _subset_carrier(omega_size, family):
             raise SpecPreconditionFailed(
                 f"mask {mask} is not a subset of a {omega_size}-element ground set"
             )
-    return {mask: i for i, mask in enumerate(family)}
-
-
-def _require_closed(family, idx, op, name):
+    idx = {mask: i for i, mask in enumerate(family)}
     for a in family:
         for b in family:
             if op(a, b) not in idx:
@@ -257,42 +143,54 @@ def _require_closed(family, idx, op, name):
                     f"family not closed under {name}: "
                     f"{a:#b} {name} {b:#b} = {op(a, b):#b} missing"
                 )
+    return validate_shelf(
+        BinaryOpTable.from_function(
+            len(family), lambda i, j: idx[op(family[i], family[j])]
+        )
+    )
 
 
-def combine(mode: str, shelves) -> Shelf:
-    """Disjoint union or direct product of shelves (both stay shelves)."""
+def boolean_multishelf(omega_size: int) -> MultiShelf:
+    """All subsets of Omega with the four operations (x*0 y, meet, join, y)."""
+    if omega_size < 0:
+        raise SpecPreconditionFailed("omega_size must be nonnegative")
+    n = 1 << omega_size
+    meet = BinaryOpTable.from_function(n, lambda a, b: a & b)
+    join = BinaryOpTable.from_function(n, lambda a, b: a | b)
+    return validate_multishelf((identity_op(n), meet, join, right_trivial_op(n)))
+
+
+def disjoint_union(shelves) -> Shelf:
+    """Shelves side by side; x*y = x when x and y lie in different summands."""
     shelves = list(shelves)
     if not shelves:
-        raise EmptyList(f"{mode} of an empty list of shelves")
-    if mode == "disjoint_union":
-        offsets = []
-        total = 0
-        for s in shelves:
-            offsets.append(total)
-            total += s.size
-        rows = [[0] * total for _ in range(total)]
-        for x in range(total):
-            for y in range(total):
-                rows[x][y] = x
-        for s, off in zip(shelves, offsets):
-            for a in range(s.size):
-                for b in range(s.size):
-                    rows[off + a][off + b] = off + s.apply(a, b)
-        return validate_shelf(BinaryOpTable.from_rows(rows))
-    if mode == "direct_product":
-        sizes = [s.size for s in shelves]
-        points = list(product(*[range(m) for m in sizes]))
-        idx = {p: i for i, p in enumerate(points)}
-        n = len(points)
-        rows = [
-            [
-                idx[tuple(s.apply(p[i], q[i]) for i, s in enumerate(shelves))]
-                for q in points
-            ]
-            for p in points
+        raise EmptyList("disjoint_union of an empty list of shelves")
+    total = sum(s.size for s in shelves)
+    rows = [[x] * total for x in range(total)]
+    off = 0
+    for s in shelves:
+        for a in range(s.size):
+            for b in range(s.size):
+                rows[off + a][off + b] = off + s.apply(a, b)
+        off += s.size
+    return validate_shelf(BinaryOpTable.from_rows(rows))
+
+
+def direct_product(shelves) -> Shelf:
+    """Componentwise product; points in lexicographic order of coordinates."""
+    shelves = list(shelves)
+    if not shelves:
+        raise EmptyList("direct_product of an empty list of shelves")
+    points = list(product(*[range(s.size) for s in shelves]))
+    idx = {p: i for i, p in enumerate(points)}
+    rows = [
+        [
+            idx[tuple(s.apply(p[i], q[i]) for i, s in enumerate(shelves))]
+            for q in points
         ]
-        return validate_shelf(BinaryOpTable.from_rows(rows))
-    raise ValueError(f"unknown combine mode {mode!r}")
+        for p in points
+    ]
+    return validate_shelf(BinaryOpTable.from_rows(rows))
 
 
 def strong_retract_extend(base: Shelf, carrier_size: int, retraction) -> Shelf:

@@ -22,7 +22,7 @@ from itertools import product
 from .census import canonical_form, enumerate_shelves
 from .chain import preset_homology
 from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange, SpecPreconditionFailed
-from .families import BooleanMultiShelf, PointedMap, construct_family
+from .families import boolean_multishelf, pointed_map
 from .orbits import left_orbits
 from .tables import BinaryOpTable, Shelf, validate_multishelf
 
@@ -138,22 +138,22 @@ def pointed_map_shelves(size: int):
         ]
         candidates[b] = [b]
         for g in product(*candidates):
-            shelf = construct_family(PointedMap(b=b, g=tuple(g)))
+            shelf = pointed_map(b, g)
             key = canonical_form(shelf.table)
             out.setdefault(key, shelf)
     return [out[k] for k in sorted(out)]
 
 
 def is_pointed_map_type(table: BinaryOpTable) -> bool:
-    """Is the table the PointedMap family's x*y = (g(y) if x=b else y) for
-    some b, with g its row b?
+    """Is the table a :func:`pointed_map` shelf, x*y = (g(y) if x=b else y)
+    for some b, with g its row b?
 
     The shape test is isomorphism-invariant, so it can be applied to any
     class representative directly.
     """
     for b, g in enumerate(table.entries):
         try:
-            if construct_family(PointedMap(b=b, g=g)).table == table:
+            if pointed_map(b, g).table == table:
                 return True
         except SpecPreconditionFailed:  # g^-1(b) is not {b}
             pass
@@ -210,7 +210,7 @@ def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
         raise CapExceeded(
             f"radius {radius} gives {points} coefficient vectors, over the cap 1000"
         )
-    four = construct_family(BooleanMultiShelf(omega))
+    four = boolean_multishelf(omega)
     ms = validate_multishelf(four.ops[:3])
     grid = list(product(range(-radius, radius + 1), repeat=3))
     report = ScanReport(

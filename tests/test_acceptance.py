@@ -18,14 +18,11 @@ import oracles
 from shelfhom.census import canonical_form, enumerate_shelves
 from shelfhom.chain import boundary_matrix, build_complex, preset_homology
 from shelfhom.families import (
-    BooleanMultiShelf,
-    ConstLeft,
-    IdentityOp,
-    IntersectionShelf,
-    RightTrivialOp,
-    SubtractionShelf,
-    construct_family,
+    boolean_multishelf,
+    const_left,
+    intersection_shelf,
     strong_retract_extend,
+    subtraction_shelf,
 )
 from shelfhom.intmat import SparseIntMatrix
 from shelfhom.orbits import classify, has_left_absorbing_element, left_orbits
@@ -82,12 +79,12 @@ def test_criterion_01_two_element_classification():
         keys = enumerate_shelves(2)
         assert len(keys) == 6
         named = {
-            "constant-left": construct_family(ConstLeft(f=(0, 0))),
-            "identity-product": construct_family(IdentityOp(2)),
-            "swap-left": construct_family(ConstLeft(f=(1, 0))),
-            "right-trivial": construct_family(RightTrivialOp(2)),
-            "meet-shelf": construct_family(IntersectionShelf(1, (0, 1))),
-            "subtraction-shelf": construct_family(SubtractionShelf(1, (0, 1))),
+            "constant-left": const_left(f=(0, 0)),
+            "identity-product": validate_shelf(identity_op(2)),
+            "swap-left": const_left(f=(1, 0)),
+            "right-trivial": validate_shelf(right_trivial_op(2)),
+            "meet-shelf": intersection_shelf(1, (0, 1)),
+            "subtraction-shelf": subtraction_shelf(1, (0, 1)),
         }
         by_key = {canonical_form(s.table): name for name, s in named.items()}
         assert len(by_key) == 6
@@ -227,7 +224,7 @@ def test_criterion_06_vanishing(classes_by_size):
 def test_criterion_07_right_trivial_formula():
     with criterion(7, "x*y = y homology"):
         for n in (2, 3, 4):
-            shelf = construct_family(RightTrivialOp(n))
+            shelf = validate_shelf(right_trivial_op(n))
             groups = preset_homology(shelf, "shelf", 4)
             assert [g.rank for g in groups] == [
                 (n - 1) * n ** d for d in range(5)
@@ -305,7 +302,7 @@ def test_criterion_12_conjecture_scans():
             for p in boolean.points
         )
         ms = validate_multishelf(
-            construct_family(BooleanMultiShelf(1)).ops[:3]
+            boolean_multishelf(1).ops[:3]
         )
         probe = scan_hyperplane(ms, samples=40, bound=3, maxdeg=2, seed=0)
         assert probe.summary["exceptional_fraction"] <= 0.20

@@ -13,16 +13,15 @@ from shelfhom.census import (
     enumerate_shelves,
 )
 from shelfhom.errors import PracticalSizeLimit
-from shelfhom.families import (
-    ConstLeft,
-    IdentityOp,
-    IntersectionShelf,
-    RightTrivialOp,
-    SubtractionShelf,
-    construct_family,
-)
+from shelfhom.families import const_left, intersection_shelf, subtraction_shelf
 from shelfhom.orbits import classify
-from shelfhom.tables import BinaryOpTable, Shelf, identity_op, right_trivial_op
+from shelfhom.tables import (
+    BinaryOpTable,
+    Shelf,
+    identity_op,
+    right_trivial_op,
+    validate_shelf,
+)
 
 
 def relabel(table, perm):
@@ -32,7 +31,7 @@ def relabel(table, perm):
 
 
 def test_relabelled_copies_share_a_key():
-    swap_left = construct_family(ConstLeft(f=(1, 0))).table
+    swap_left = const_left(f=(1, 0)).table
     moved = relabel(swap_left, (1, 0))
     assert canonical_form(swap_left) == canonical_form(moved)
 
@@ -99,12 +98,12 @@ def test_two_element_shelves_is_the_paper_list():
     keys = enumerate_shelves(2)
     assert len(keys) == 6
     named = {
-        "constant-left": construct_family(ConstLeft(f=(0, 0))).table,
-        "identity-product": construct_family(IdentityOp(2)).table,
-        "swap-left": construct_family(ConstLeft(f=(1, 0))).table,
-        "right-trivial": construct_family(RightTrivialOp(2)).table,
-        "meet": construct_family(IntersectionShelf(1, (0, 1))).table,
-        "subtract": construct_family(SubtractionShelf(1, (0, 1))).table,
+        "constant-left": const_left(f=(0, 0)).table,
+        "identity-product": validate_shelf(identity_op(2)).table,
+        "swap-left": const_left(f=(1, 0)).table,
+        "right-trivial": validate_shelf(right_trivial_op(2)).table,
+        "meet": intersection_shelf(1, (0, 1)).table,
+        "subtract": subtraction_shelf(1, (0, 1)).table,
     }
     assert {canonical_form(t) for t in named.values()} == set(keys)
 

@@ -23,9 +23,11 @@ from shelfhom.errors import (
     MemoryCapExceeded,
     NotASpindle,
     OutOfRange,
+    ParseError,
+    ShelfHomError,
     SizeMismatch,
 )
-from shelfhom.families import BooleanMultiShelf, RightTrivialOp, construct_family
+from shelfhom.families import boolean_multishelf
 from shelfhom.intmat import SparseIntMatrix
 from shelfhom.orbits import left_orbits
 from shelfhom.tables import (
@@ -103,13 +105,13 @@ def test_boundary_matrices_against_dense_oracle(labelled_by_size):
             _against_tuple_oracle(MultiShelf((table, identity_op(n))), (1, -1),
                                   False)
     for omega in (1, 2):
-        ms = construct_family(BooleanMultiShelf(omega))
+        ms = boolean_multishelf(omega)
         for augmented in (True, False):
             _against_tuple_oracle(ms, (2, 0, -1, 3), augmented)
 
 
 def test_boundary_zero_coefficients_gives_zero_matrix():
-    ms = construct_family(BooleanMultiShelf(1))
+    ms = boolean_multishelf(1)
     for d in range(1, 4):
         m = boundary_matrix(ms, (0, 0, 0, 0), d, augmented=True)
         assert m.shape == (2 ** d, 2 ** (d + 1))
@@ -191,7 +193,7 @@ def test_build_complex_memory_cap():
 
 
 def test_boolean_zero_differential_complex():
-    ms = construct_family(BooleanMultiShelf(1))
+    ms = boolean_multishelf(1)
     cx = build_complex(ms, (0, 0, 0, 0), 3, augmented=True)
     assert not cx.boundary(0).is_zero()  # the augmentation row survives
     for d in range(1, 4):
@@ -202,7 +204,7 @@ def test_boolean_zero_differential_complex():
 
 def test_homology_right_trivial_matches_formula():
     for n in (2, 3):
-        shelf = construct_family(RightTrivialOp(n))
+        shelf = validate_shelf(right_trivial_op(n))
         groups = preset_homology(shelf, "shelf", 3)
         assert [g.rank for g in groups] == [(n - 1) * n ** d for d in range(4)]
         assert all(g.torsion == () for g in groups)
@@ -288,6 +290,14 @@ def test_preset_complex_multi_and_bad_degrees():
     for kind in ("shelf", "quandle"):
         with pytest.raises(DegreeNegative, match="maxdeg -1 < 0"):
             preset_complex(DIHEDRAL3, kind, -1)
+
+
+def test_preset_complex_refuses_an_unknown_kind_with_a_structured_error():
+    for call in (preset_complex, preset_homology):
+        with pytest.raises(ParseError, match="unknown preset kind 'Rack'") as info:
+            call(DIHEDRAL3, "Rack", 1)
+        assert isinstance(info.value, ShelfHomError)
+        assert info.value.exit_code == 2
 
 
 def test_quandle_quotient_dimensions():

@@ -9,7 +9,7 @@ from shelfhom.chain import (
     left_normed_tuple_map,
 )
 from shelfhom.errors import ChainMapViolation
-from shelfhom.families import BooleanMultiShelf, construct_family
+from shelfhom.families import boolean_multishelf
 from shelfhom.intmat import identity_matrix
 from shelfhom.simplicial import build_shelf_complex, simplicial_projection_map
 from shelfhom.tables import (
@@ -20,6 +20,7 @@ from shelfhom.tables import (
     identity_op,
     inverse_op,
     left_normed_product,
+    right_trivial_op,
     validate_multishelf,
     validate_shelf,
 )
@@ -32,7 +33,7 @@ def test_lemma_identities_on_random_samples(labelled_by_size):
     for a in labelled_by_size[3]:
         for b in (identity_op(3),):
             pairs.append((a, b))
-    boolean = construct_family(BooleanMultiShelf(1))
+    boolean = boolean_multishelf(1)
     for a in boolean.ops:
         for b in boolean.ops:
             pairs.append((a, b))
@@ -90,7 +91,7 @@ def test_f_map_for_identity_operation_is_identity():
 
 def test_f_map_composition_law():
     # F^{compose(s1,s2)} == F^{s2} F^{s1} for mutually distributive pairs
-    boolean = construct_family(BooleanMultiShelf(1))
+    boolean = boolean_multishelf(1)
     ops = boolean.ops
     for s1 in ops:
         for s2 in ops:
@@ -173,9 +174,7 @@ def test_projection_degree_zero_is_identity():
 def test_projection_right_trivial_collapses():
     # left-normed products all equal the last coordinate, so every image
     # has a repeated vertex in degrees >= 1
-    from shelfhom.families import RightTrivialOp
-
-    shelf = construct_family(RightTrivialOp(3))
+    shelf = validate_shelf(right_trivial_op(3))
     scx = build_shelf_complex(shelf)
     for d in (1, 2):
         phi = simplicial_projection_map(shelf, scx, d)
@@ -191,7 +190,7 @@ def test_projection_commutes_for_all_three_element_shelves(labelled_by_size):
 
 
 def test_left_normed_product_reference():
-    shelf = construct_family(BooleanMultiShelf(1))
+    shelf = boolean_multishelf(1)
     meet = shelf.ops[1]
     assert left_normed_product(meet, [1, 1, 0]) == 0
     assert left_normed_product(meet, [1]) == 1

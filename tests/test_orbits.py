@@ -1,11 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from shelfhom.families import (
-    IdempotentRight,
-    IntersectionShelf,
-    SubtractionShelf,
-    construct_family,
-)
+from shelfhom.families import idempotent_right, intersection_shelf, subtraction_shelf
 from shelfhom.orbits import (
     classify,
     has_left_absorbing_element,
@@ -35,14 +30,12 @@ def test_right_trivial_has_n_orbits():
 
 
 def test_subtraction_shelf_on_empty_and_omega_is_connected():
-    shelf = construct_family(SubtractionShelf(omega_size=2, family=(0, 3)))
+    shelf = subtraction_shelf(omega_size=2, family=(0, 3))
     assert left_orbits(shelf).count == 1
 
 
 def test_intersection_shelf_is_connected():
-    shelf = construct_family(
-        IntersectionShelf(omega_size=2, family=(0, 1, 2, 3))
-    )
+    shelf = intersection_shelf(omega_size=2, family=(0, 1, 2, 3))
     assert left_orbits(shelf).count == 1
 
 
@@ -64,7 +57,7 @@ def test_orbit_quotient_of_connected_shelf_is_point():
 
 def test_orbit_quotient_of_idempotent_right_shelf():
     # x*y = g(y) with image of size 2: quotient is x*y = y on two elements
-    shelf = construct_family(IdempotentRight(g=(0, 1, 0, 1)))
+    shelf = idempotent_right(g=(0, 1, 0, 1))
     q, pi = orbit_quotient(shelf)
     assert q.size == 2
     assert q.table == right_trivial_op(2)

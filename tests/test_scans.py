@@ -2,7 +2,7 @@ import pytest
 
 from shelfhom import scans
 from shelfhom.errors import CapExceeded, OutOfRange
-from shelfhom.families import BooleanMultiShelf, construct_family
+from shelfhom.families import boolean_multishelf
 from shelfhom.scans import (
     is_pointed_map_type,
     pointed_map_shelves,
@@ -91,7 +91,7 @@ def test_boolean_cap():
 
 
 def test_hyperplane_probe_deterministic():
-    ms = validate_multishelf(construct_family(BooleanMultiShelf(1)).ops[:3])
+    ms = validate_multishelf(boolean_multishelf(1).ops[:3])
     a = scan_hyperplane(ms, samples=15, bound=2, maxdeg=1, seed=5)
     b = scan_hyperplane(ms, samples=15, bound=2, maxdeg=1, seed=5)
     assert a.to_doc() == b.to_doc()

@@ -6,7 +6,6 @@ import oracles
 from shelfhom import snf
 from shelfhom.chain import homology_groups, preset_complex
 from shelfhom.errors import CapExceeded, DegreeOutOfRange
-from shelfhom.families import RightTrivialOp, construct_family
 from shelfhom.orbits import left_orbits
 from shelfhom.simplicial import (
     ShelfComplex,
@@ -15,7 +14,7 @@ from shelfhom.simplicial import (
     simplicial_boundary_matrix,
     simplicial_groups,
 )
-from shelfhom.tables import BinaryOpTable, Shelf, validate_shelf
+from shelfhom.tables import BinaryOpTable, Shelf, right_trivial_op, validate_shelf
 
 PAPER_4x4 = validate_shelf(
     BinaryOpTable.from_rows(
@@ -45,7 +44,7 @@ def test_paper_example_components_and_h1():
 
 
 def test_right_trivial_has_no_edges():
-    scx = build_shelf_complex(construct_family(RightTrivialOp(4)))
+    scx = build_shelf_complex(validate_shelf(right_trivial_op(4)))
     assert scx.count(0) == 4
     for d in range(1, 4):
         assert scx.count(d) == 0
@@ -93,11 +92,9 @@ def test_maximal_simplices_of_a_complex_that_is_not_face_closed():
 
 def test_meet_shelf_has_a_two_cell():
     # chains of three nested distinct subsets generate 2-simplices
-    from shelfhom.families import IntersectionShelf
+    from shelfhom.families import intersection_shelf
 
-    shelf = construct_family(
-        IntersectionShelf(omega_size=2, family=(0, 1, 2, 3))
-    )
+    shelf = intersection_shelf(omega_size=2, family=(0, 1, 2, 3))
     scx = build_shelf_complex(shelf)
     assert scx.count(2) > 0
     assert components(scx)[0] == 1
