@@ -29,6 +29,7 @@ from .errors import (
     DegenerateNotSubcomplex,
     DegreeNegative,
     DegreeOutOfRange,
+    InputError,
     MemoryCapExceeded,
     NotASpindle,
     OutOfRange,
@@ -157,7 +158,6 @@ class ChainComplex:
     coefficients: tuple
     augmented: bool
     boundaries: tuple
-    kind: str = "tuple"
 
     def __post_init__(self):
         for name in ("ops", "coefficients", "boundaries"):
@@ -178,11 +178,8 @@ class ChainComplex:
         return self.boundaries[degree]
 
     def __repr__(self):
-        return (
-            f"ChainComplex(kind={self.kind!r}, n={self.size}, "
-            f"ops={len(self.ops)}, maxdeg={self.maxdeg}, "
-            f"augmented={self.augmented})"
-        )
+        return (f"ChainComplex(n={self.size}, ops={len(self.ops)}, "
+                f"maxdeg={self.maxdeg}, augmented={self.augmented})")
 
 
 def check_memory_cap(size, maxdeg, cap):
@@ -347,13 +344,12 @@ def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
         data = {(i, cols[x]): v for (i, x), v in faces}
         boundaries.append(SparseIntMatrix._raw(len(rows), len(cols), data))
     _check_dd(boundaries, "quotient ")
-    return ChainComplex(n, ms.ops, coefficients, augmented, boundaries,
-                        kind="quandle-quotient")
+    return ChainComplex(n, ms.ops, coefficients, augmented, boundaries)
 
 
-def left_normed_tuple_map(op: BinaryOpTable, degree: int, size: int) -> SparseIntMatrix:
+def left_normed_tuple_map(op: BinaryOpTable, degree: int) -> SparseIntMatrix:
     """Basis map (x_0..x_d) -> (x_0*..*x_d, x_1*..*x_d, ..., x_d) as a matrix."""
-    n = size
+    n = op.size
     data = {}
     for col, tup in enumerate(product(range(n), repeat=degree + 1)):
         data[(basis_index(suffix_products(op, tup), n), col)] = 1
@@ -361,48 +357,36 @@ def left_normed_tuple_map(op: BinaryOpTable, degree: int, size: int) -> SparseIn
     return SparseIntMatrix._raw(m, m, data)
 
 
-def F_chain_map(star1: BinaryOpTable, source_cx: ChainComplex,
-                target_cx: ChainComplex, degree: int) -> SparseIntMatrix:
-    """The chain map built from left-normed star1 suffix products.
+def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int,
+                augmented: bool = True) -> SparseIntMatrix:
+    """The degree-d matrix of the chain map C(X; star1 o *) -> C(X; *) built
+    from left-normed star1 suffix products.
 
-    Preconditions (raised as ChainMapViolation): both complexes are full
-    tuple complexes on the same carrier with the same coefficients and
-    augmentation, star1 is mutually distributive with every operation in
-    play, and each source operation is star1 composed with the matching
-    target operation.  The matrix is verified to commute with the
-    boundaries at the requested degree.
+    ``target`` is a Shelf or MultiShelf; the source operations are star1
+    composed with each target operation, under the same coefficients and
+    augmentation.  star1 must be mutually distributive with every operation
+    in play (ChainMapViolation otherwise).  The matrix is verified to commute
+    with the two boundaries at the requested degree.
     """
-    if source_cx.kind != "tuple" or target_cx.kind != "tuple":
-        raise ChainMapViolation("chain map needs full tuple complexes")
-    n = target_cx.size
-    if star1.size != n or source_cx.size != n:
+    target = as_multishelf(target)
+    if star1.size != target.size:
         raise ChainMapViolation("carrier sizes differ")
-    if source_cx.coefficients != target_cx.coefficients:
-        raise ChainMapViolation("coefficient vectors differ")
-    if source_cx.augmented != target_cx.augmented:
-        raise ChainMapViolation("augmentation flags differ")
-    if len(source_cx.ops) != len(target_cx.ops):
-        raise ChainMapViolation("operation counts differ")
-    for s_op, t_op in zip(source_cx.ops, target_cx.ops):
-        if s_op != compose_ops(star1, t_op):
-            raise ChainMapViolation(
-                "source operations must be star1 composed with target ones"
-            )
+    if degree < 0:
+        raise DegreeNegative(f"degree {degree} < 0")
+    source = MultiShelf(tuple(compose_ops(star1, t) for t in target.ops))
     try:
-        validate_multishelf((star1,) + target_cx.ops + source_cx.ops)
-    except Exception as exc:
+        validate_multishelf((star1,) + target.ops + source.ops)
+    except InputError as exc:
         raise ChainMapViolation(
             f"star1 is not mutually distributive with the complex operations: {exc}"
         ) from exc
-    if degree < 0 or degree > min(source_cx.maxdeg, target_cx.maxdeg):
-        raise DegreeOutOfRange(f"degree {degree} not covered by both complexes")
-
-    fd = left_normed_tuple_map(star1, degree, n)
+    # built at degree 0 too, where they only check the coefficient count
+    d_target = boundary_matrix(target, coefficients, degree, augmented)
+    d_source = boundary_matrix(source, coefficients, degree, augmented)
+    fd = left_normed_tuple_map(star1, degree)
     if degree >= 1:
-        f_prev = left_normed_tuple_map(star1, degree - 1, n)
-        lhs = target_cx.boundary(degree).matmul(fd)
-        rhs = f_prev.matmul(source_cx.boundary(degree))
-        if lhs != rhs:
+        f_prev = left_normed_tuple_map(star1, degree - 1)
+        if d_target.matmul(fd) != f_prev.matmul(d_source):
             raise ChainMapViolation(
                 f"matrix fails to commute with the boundaries at degree {degree}"
             )

@@ -17,7 +17,7 @@ import sys
 
 from . import errors
 from .census import CANONICAL_SIZE_LIMIT, canonical_form, enumerate_shelves
-from .chain import DEFAULT_MEMORY_CAP, as_multishelf, homology_groups, preset_complex
+from .chain import DEFAULT_MEMORY_CAP, PRESETS, as_multishelf, homology_groups, preset_complex
 from .io import dump_report, finish_report, load_structure, structure_to_doc
 from .orbits import classify, left_orbits, orbit_quotient
 from .scans import scan_boolean, scan_example4, scan_growth, scan_hyperplane, torsion_hunt
@@ -73,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shelf/rack/quandle/multi-shelf homology groups")
     p.add_argument("--cap", metavar="N", type=_at_least_one, default=DEFAULT_MEMORY_CAP,
                    help="basis-element cap guarding complex construction")
-    p.add_argument("--kind", choices=["shelf", "rack", "quandle", "multi"],
-                   default="shelf")
+    p.add_argument("--kind", choices=list(PRESETS), default="shelf")
     p.add_argument("--coefficients", metavar="C1,C2,...",
                    help="integer coefficients, one per operation (kind=multi)")
     p.add_argument("--export-matrices", metavar="DIR",
@@ -89,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", parents=[common, source, degree, augmented, jobs],
                        help="conjecture scans (report-only, never assertions)")
-    p.add_argument("--which", choices=["growth", "example4", "boolean", "hyperplane"],
-                   required=True)
+    p.add_argument("--which", choices=list(_SCAN_FLAGS), required=True)
     # unset unless given, so that a --which that does not read one refuses it
     # (_SCAN_FLAGS); --size defaults to 3 and --omega to 1
     for flag in ("--size", "--omega", "--radius", "--samples", "--bound", "--seed"):
@@ -224,8 +222,7 @@ def cmd_homology(args):
 
 def cmd_simplicial(args):
     shelf = _need_shelf(args)
-    maxdim = (shelf.size - 1) if args.maxdeg is None else args.maxdeg
-    cx = build_shelf_complex(shelf, maxdim)
+    cx = build_shelf_complex(shelf, args.maxdeg)
     count, labels = components(cx)
     return {
         "size": shelf.size,

@@ -128,19 +128,20 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
 
 
 def pointed_map_shelves(size: int):
-    """One shelf per iso class of the pointed-map family on the carrier."""
+    """One shelf per iso class of the pointed-map family on the carrier.
+
+    Relabelling b <-> 0 maps the family onto itself, so b = 0 already
+    meets every class.
+    """
     if size < 0:
         raise OutOfRange(f"carrier size {size} < 0")
+    if size == 0:
+        return []
     out = {}
-    for b in range(size):
-        candidates = [
-            [v for v in range(size) if v != b] for _ in range(size)
-        ]
-        candidates[b] = [b]
-        for g in product(*candidates):
-            shelf = pointed_map(b, g)
-            key = canonical_form(shelf.table)
-            out.setdefault(key, shelf)
+    # g(0) = 0 and g(x) != 0 elsewhere
+    for g in product([0], *[range(1, size)] * (size - 1)):
+        shelf = pointed_map(0, g)
+        out.setdefault(canonical_form(shelf.table), shelf)
     return [out[k] for k in sorted(out)]
 
 
@@ -277,20 +278,17 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
             "augmented": augmented,
         },
     )
-    exceptional = 0
     for vec, ranks in zip(vectors, rank_lists):
-        is_generic = tuple(ranks) == generic
-        if not is_generic:
-            exceptional += 1
         report.points.append(ScanPoint(
             params={"coefficients": list(vec)},
             observed={"ranks": ranks},
             conjectured={"ranks": list(generic)},
-            verdict=CONSISTENT if is_generic else INCONSISTENT,
+            verdict=CONSISTENT if tuple(ranks) == generic else INCONSISTENT,
         ))
     report.summary["generic_ranks"] = list(generic)
-    report.summary["exceptional_fraction"] = exceptional / len(vectors)
-    return report.finish()
+    report.finish()
+    report.summary["exceptional_fraction"] = report.summary[INCONSISTENT] / len(vectors)
+    return report
 
 
 def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> ScanReport:

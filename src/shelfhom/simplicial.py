@@ -146,14 +146,16 @@ def simplicial_groups(cx: ShelfComplex) -> list[HomologyGroup]:
     return homology_from_boundaries(boundaries)
 
 
-def simplicial_projection_map(shelf: Shelf, complex_, degree: int) -> SparseIntMatrix:
-    """Chain map from the tuple complex onto the oriented simplicial chains.
+def simplicial_projection_map(shelf: Shelf, degree: int) -> SparseIntMatrix:
+    """Degree-d matrix of the chain map from the unaugmented tuple complex
+    onto the oriented chains of the shelf's simplicial complex.
 
     A tuple goes to its suffix-product vertex tuple: zero if a vertex
     repeats, otherwise +-(sorted simplex) with the sign of the sorting
-    permutation.  Commutation with the boundaries is verified for
-    degree >= 1.
+    permutation.  The shelf complex is built here through ``degree``, and
+    commutation with the boundaries is verified for degree >= 1.
     """
+    complex_ = build_shelf_complex(shelf, degree)
     mat = _projection_matrix(shelf, complex_, degree)
     if degree >= 1:
         prev = _projection_matrix(shelf, complex_, degree - 1)
@@ -168,10 +170,6 @@ def simplicial_projection_map(shelf: Shelf, complex_, degree: int) -> SparseIntM
 
 def _projection_matrix(shelf: Shelf, complex_, degree: int) -> SparseIntMatrix:
     n = shelf.size
-    if degree > complex_.maxdim:
-        raise DegreeOutOfRange(
-            f"complex built to dimension {complex_.maxdim}, need {degree}"
-        )
     simplex_rows = {s: i for i, s in enumerate(complex_.simplices[degree])}
     data = {}
     for col, tup in enumerate(product(range(n), repeat=degree + 1)):

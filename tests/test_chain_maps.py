@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,10 +9,10 @@ from shelfhom.chain import (
     homology_groups,
     left_normed_tuple_map,
 )
-from shelfhom.errors import ChainMapViolation
+from shelfhom.errors import ChainMapViolation, ShelfHomError, SizeMismatch
 from shelfhom.families import boolean_multishelf
 from shelfhom.intmat import identity_matrix
-from shelfhom.simplicial import build_shelf_complex, simplicial_projection_map
+from shelfhom.simplicial import simplicial_projection_map
 from shelfhom.tables import (
     BinaryOpTable,
     MultiShelf,
@@ -83,10 +84,11 @@ def test_f_map_for_identity_operation_is_identity():
     shelf = validate_shelf(
         BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3)
     )
-    cx = build_complex(shelf, (1,), 3, augmented=True)
     for d in range(4):
-        f = F_chain_map(identity_op(3), cx, cx, d)
+        f = F_chain_map(identity_op(3), shelf, (1,), d)
         assert f == identity_matrix(3 ** (d + 1))
+    with pytest.raises(SizeMismatch):
+        F_chain_map(identity_op(3), shelf, (1, 1), 0)
 
 
 def test_f_map_composition_law():
@@ -97,22 +99,28 @@ def test_f_map_composition_law():
         for s2 in ops:
             comp = compose_ops(s1, s2)
             for d in range(3):
-                lhs = left_normed_tuple_map(comp, d, 2)
-                rhs = left_normed_tuple_map(s2, d, 2).matmul(
-                    left_normed_tuple_map(s1, d, 2)
+                lhs = left_normed_tuple_map(comp, d)
+                rhs = left_normed_tuple_map(s2, d).matmul(
+                    left_normed_tuple_map(s1, d)
                 )
                 assert lhs == rhs
 
 
-def test_f_map_requires_composed_sources():
-    shelf = validate_shelf(
-        BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3)
-    )
-    cx = build_complex(shelf, (1,), 2, augmented=True)
-    with pytest.raises(ChainMapViolation):
-        # source must be built on compose(star1, target op); using the target
-        # itself with a non-identity star1 is the wrong pairing
-        F_chain_map(shelf.table, cx, cx, 1)
+def test_f_map_refuses_a_star1_that_does_not_distribute():
+    # x *1 y = 1 - x against x * y = y: (x *1 y) * z = z but
+    # (x * z) *1 (y * z) = 1 - z
+    swap = BinaryOpTable.from_function(2, lambda x, y: 1 - x)
+    with pytest.raises(ChainMapViolation, match="not mutually distributive"):
+        F_chain_map(swap, validate_shelf(right_trivial_op(2)), (1,), 1)
+
+
+def test_chain_maps_refuse_a_negative_degree_with_a_structured_error():
+    shelf = validate_shelf(right_trivial_op(2))
+    for call in (lambda: F_chain_map(identity_op(2), shelf, (1,), -1),
+                 lambda: simplicial_projection_map(shelf, -1)):
+        with pytest.raises(ShelfHomError) as info:
+            call()
+        assert info.value.exit_code == 2
 
 
 def test_f_map_invertible_swap_left():
@@ -126,7 +134,7 @@ def test_f_map_invertible_swap_left():
     ranks_source = [g.rank for g in homology_groups(source, 2)]
     ranks_target = [g.rank for g in homology_groups(target, 2)]
     for d in range(3):
-        f = F_chain_map(swap, source, target, d)
+        f = F_chain_map(swap, Shelf(swap), (1,), d)
         cols = {}
         for (i, j), v in f.data.items():
             assert v == 1
@@ -143,9 +151,8 @@ def test_f_map_kamada_mechanism():
     # (identity, inverse)
     c4 = validate_shelf(BinaryOpTable.from_function(4, lambda x, y: (x + 1) % 4))
     inv = inverse_op(c4.table)
-    target = build_complex(
-        MultiShelf((c4.table, identity_op(4))), (1, -1), 3, augmented=False
-    )
+    target_ms = MultiShelf((c4.table, identity_op(4)))
+    target = build_complex(target_ms, (1, -1), 3, augmented=False)
     source_ops = (
         compose_ops(inv, c4.table),
         compose_ops(inv, identity_op(4)),
@@ -156,7 +163,7 @@ def test_f_map_kamada_mechanism():
         MultiShelf(source_ops), (1, -1), 3, augmented=False
     )
     for d in range(3):
-        F_chain_map(inv, source, target, d)  # raises on any failure
+        F_chain_map(inv, target_ms, (1, -1), d, augmented=False)  # raises on any failure
     assert [g.rank for g in homology_groups(source, 2)] == [
         g.rank for g in homology_groups(target, 2)
     ]
@@ -166,8 +173,7 @@ def test_projection_degree_zero_is_identity():
     shelf = validate_shelf(
         BinaryOpTable.from_rows([[0, 2, 2, 3], [0, 1, 2, 3], [0, 2, 2, 3], [2, 0, 2, 3]])
     )
-    scx = build_shelf_complex(shelf)
-    phi = simplicial_projection_map(shelf, scx, 0)
+    phi = simplicial_projection_map(shelf, 0)
     assert phi == identity_matrix(4)
 
 
@@ -175,18 +181,16 @@ def test_projection_right_trivial_collapses():
     # left-normed products all equal the last coordinate, so every image
     # has a repeated vertex in degrees >= 1
     shelf = validate_shelf(right_trivial_op(3))
-    scx = build_shelf_complex(shelf)
     for d in (1, 2):
-        phi = simplicial_projection_map(shelf, scx, d)
+        phi = simplicial_projection_map(shelf, d)
         assert phi.is_zero()
 
 
 def test_projection_commutes_for_all_three_element_shelves(labelled_by_size):
     for table in labelled_by_size[3]:
         shelf = Shelf(table)
-        scx = build_shelf_complex(shelf, maxdim=2)
         for d in (1, 2):
-            simplicial_projection_map(shelf, scx, d)  # verifies internally
+            simplicial_projection_map(shelf, d)  # verifies internally
 
 
 def test_left_normed_product_reference():
@@ -194,3 +198,23 @@ def test_left_normed_product_reference():
     meet = shelf.ops[1]
     assert left_normed_product(meet, [1, 1, 0]) == 0
     assert left_normed_product(meet, [1]) == 1
+
+
+def test_chain_maps_are_pinned(labelled_by_size):
+    # sha256 of repr([(shape, sorted(data.items())), ...]) over F for every
+    # ordered pair of Boolean operations, F for the Kamada case, and the
+    # simplicial projection of every labelled 3-element shelf, degrees 0..2
+    mats = []
+    boolean = boolean_multishelf(1)
+    for star1 in boolean.ops:
+        for t in boolean.ops:
+            mats += [F_chain_map(star1, Shelf(t), (1,), d) for d in range(3)]
+    c4 = BinaryOpTable.from_function(4, lambda x, y: (x + 1) % 4)
+    inv = inverse_op(c4)
+    target = MultiShelf((c4, identity_op(4)))
+    mats += [F_chain_map(inv, target, (1, -1), d, augmented=False) for d in range(3)]
+    for table in labelled_by_size[3]:
+        mats += [simplicial_projection_map(Shelf(table), d) for d in range(3)]
+    got = repr([(m.shape, sorted(m.data.items())) for m in mats])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "ecf3fea3e956f55997bb4e0309a6d886da0f7f7f2050d8eb6d9aa7a943635d89")

@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
 from shelfhom import scans
+from shelfhom.census import canonical_form
 from shelfhom.errors import CapExceeded, OutOfRange
-from shelfhom.families import boolean_multishelf
+from shelfhom.families import boolean_multishelf, pointed_map
 from shelfhom.scans import (
     is_pointed_map_type,
     pointed_map_shelves,
@@ -49,6 +52,21 @@ def test_pointed_map_shelves_size_zero_is_empty_and_negative_is_refused():
     assert scan_example4(0).summary["points"] == 0
     with pytest.raises(OutOfRange, match="carrier size -1 < 0"):
         pointed_map_shelves(-1)
+
+
+def test_pointed_map_shelves_match_the_all_b_oracle():
+    # the oracle draws every b, not just b = 0, and keeps the first shelf
+    # met in each class
+    for n in range(5):
+        out = {}
+        for b in range(n):
+            candidates = [[v for v in range(n) if v != b] for _ in range(n)]
+            candidates[b] = [b]
+            for g in product(*candidates):
+                shelf = pointed_map(b, g)
+                out.setdefault(canonical_form(shelf.table), shelf)
+        assert pointed_map_shelves(n) == [out[k] for k in sorted(out)]
+    assert len(pointed_map_shelves(5)) == 19
 
 
 def test_pointed_map_shelves_include_right_trivial():
