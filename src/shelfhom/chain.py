@@ -357,22 +357,24 @@ def left_normed_tuple_map(op: BinaryOpTable, degree: int) -> SparseIntMatrix:
     return SparseIntMatrix._raw(m, m, data)
 
 
-def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int,
-                augmented: bool = True) -> SparseIntMatrix:
+def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int) -> SparseIntMatrix:
     """The degree-d matrix of the chain map C(X; star1 o *) -> C(X; *) built
     from left-normed star1 suffix products.
 
     ``target`` is a Shelf or MultiShelf; the source operations are star1
-    composed with each target operation, under the same coefficients and
-    augmentation.  star1 must be mutually distributive with every operation
-    in play (ChainMapViolation otherwise).  The matrix is verified to commute
-    with the two boundaries at the requested degree.
+    composed with each, under the same coefficients, and star1 must be
+    mutually distributive with all of them (ChainMapViolation otherwise).
+    The degree is held to build_complex's basis cap; for degree >= 1 the
+    matrix is verified to commute with the two boundaries.
     """
     target = as_multishelf(target)
     if star1.size != target.size:
         raise ChainMapViolation("carrier sizes differ")
+    if len(coefficients) != len(target.ops):
+        raise SizeMismatch(f"{len(coefficients)} coefficients for {len(target.ops)} operations")
     if degree < 0:
         raise DegreeNegative(f"degree {degree} < 0")
+    check_memory_cap(star1.size, degree, DEFAULT_MEMORY_CAP)
     source = MultiShelf(tuple(compose_ops(star1, t) for t in target.ops))
     try:
         validate_multishelf((star1,) + target.ops + source.ops)
@@ -380,11 +382,10 @@ def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int,
         raise ChainMapViolation(
             f"star1 is not mutually distributive with the complex operations: {exc}"
         ) from exc
-    # built at degree 0 too, where they only check the coefficient count
-    d_target = boundary_matrix(target, coefficients, degree, augmented)
-    d_source = boundary_matrix(source, coefficients, degree, augmented)
     fd = left_normed_tuple_map(star1, degree)
     if degree >= 1:
+        d_target = boundary_matrix(target, coefficients, degree)
+        d_source = boundary_matrix(source, coefficients, degree)
         f_prev = left_normed_tuple_map(star1, degree - 1)
         if d_target.matmul(fd) != f_prev.matmul(d_source):
             raise ChainMapViolation(

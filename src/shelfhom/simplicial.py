@@ -147,14 +147,16 @@ def simplicial_groups(cx: ShelfComplex) -> list[HomologyGroup]:
 
 
 def simplicial_projection_map(shelf: Shelf, degree: int) -> SparseIntMatrix:
-    """Degree-d matrix of the chain map from the unaugmented tuple complex
-    onto the oriented chains of the shelf's simplicial complex.
+    """Chain map from the tuple complex onto the oriented simplicial chains.
 
     A tuple goes to its suffix-product vertex tuple: zero if a vertex
     repeats, otherwise +-(sorted simplex) with the sign of the sorting
-    permutation.  The shelf complex is built here through ``degree``, and
+    permutation.  Degrees run 0..n-1 (past that every tuple repeats a
+    vertex); the shelf complex is built here, under its tuple cap, and
     commutation with the boundaries is verified for degree >= 1.
     """
+    if not 0 <= degree < shelf.size:
+        raise DegreeOutOfRange(f"degree {degree} outside 0..{shelf.size - 1}, the simplex dimensions")
     complex_ = build_shelf_complex(shelf, degree)
     mat = _projection_matrix(shelf, complex_, degree)
     if degree >= 1:

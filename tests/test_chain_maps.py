@@ -9,7 +9,13 @@ from shelfhom.chain import (
     homology_groups,
     left_normed_tuple_map,
 )
-from shelfhom.errors import ChainMapViolation, ShelfHomError, SizeMismatch
+from shelfhom.errors import (
+    ChainMapViolation,
+    DegreeOutOfRange,
+    MemoryCapExceeded,
+    ShelfHomError,
+    SizeMismatch,
+)
 from shelfhom.families import boolean_multishelf
 from shelfhom.intmat import identity_matrix
 from shelfhom.simplicial import simplicial_projection_map
@@ -123,6 +129,18 @@ def test_chain_maps_refuse_a_negative_degree_with_a_structured_error():
         assert info.value.exit_code == 2
 
 
+def test_chain_maps_refuse_a_degree_past_their_cap_at_once():
+    # F at degree 30 would need 2^31 columns; the projection has no simplex
+    # past dimension n - 1, and the tuple cap counts n^(degree+1) up to it
+    shelf = validate_shelf(right_trivial_op(2))
+    with pytest.raises(MemoryCapExceeded):
+        F_chain_map(identity_op(2), shelf, (1,), 30)
+    shelf3 = validate_shelf(right_trivial_op(3))
+    for degree in (3, 30):
+        with pytest.raises(DegreeOutOfRange, match=f"degree {degree} outside 0..2"):
+            simplicial_projection_map(shelf3, degree)
+
+
 def test_f_map_invertible_swap_left():
     # star1: x *1 y = 1 - x on two elements; star1 composed with itself is
     # the identity product, and F is a permutation matrix in every degree
@@ -163,7 +181,7 @@ def test_f_map_kamada_mechanism():
         MultiShelf(source_ops), (1, -1), 3, augmented=False
     )
     for d in range(3):
-        F_chain_map(inv, target_ms, (1, -1), d, augmented=False)  # raises on any failure
+        F_chain_map(inv, target_ms, (1, -1), d)  # raises on any failure
     assert [g.rank for g in homology_groups(source, 2)] == [
         g.rank for g in homology_groups(target, 2)
     ]
@@ -212,7 +230,7 @@ def test_chain_maps_are_pinned(labelled_by_size):
     c4 = BinaryOpTable.from_function(4, lambda x, y: (x + 1) % 4)
     inv = inverse_op(c4)
     target = MultiShelf((c4, identity_op(4)))
-    mats += [F_chain_map(inv, target, (1, -1), d, augmented=False) for d in range(3)]
+    mats += [F_chain_map(inv, target, (1, -1), d) for d in range(3)]
     for table in labelled_by_size[3]:
         mats += [simplicial_projection_map(Shelf(table), d) for d in range(3)]
     got = repr([(m.shape, sorted(m.data.items())) for m in mats])
