@@ -12,6 +12,7 @@ completion order.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from collections import Counter
@@ -60,13 +61,25 @@ class ScanReport:
         return asdict(self)
 
 
+def _usable_cpus():
+    # the CPUs this process may run on (taskset, cpusets), where the OS says
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_map(fn, items, jobs):
-    # never more workers than items or CPUs, whatever --jobs asks for
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    # never more workers than items or usable CPUs, whatever --jobs asks for
+    workers = min(jobs, len(items), _usable_cpus())
     if workers <= 1:
         return [fn(item) for item in items]
+    # At most 16 items per task: a round trip per item is a large share of a
+    # ~2 ms class, and a fixed cap keeps a 33 425-class hunt's tasks small.
+    # Short lists get about four tasks per worker, so one slow task is not
+    # the whole tail.
+    chunksize = min(16, math.ceil(len(items) / (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def _groups(job):

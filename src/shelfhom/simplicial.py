@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .chain import boundary_matrix
-from .errors import CapExceeded, ChainMapViolation, DegreeOutOfRange
+from .errors import CapExceeded, ChainMapViolation, DegreeNegative, DegreeOutOfRange
 from .intmat import SparseIntMatrix
 from .orbits import UnionFind
 from .snf import HomologyGroup, homology_from_boundaries
@@ -66,7 +66,7 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
     if maxdim is None:
         maxdim = n - 1
     if maxdim < 0:
-        raise DegreeOutOfRange("maxdim must be nonnegative")
+        raise DegreeNegative(f"maxdeg {maxdim} < 0")
     top = min(maxdim, n - 1)
     need = max(n ** (top + 1), maxdim + 1)
     if need > cap:

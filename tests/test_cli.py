@@ -697,13 +697,16 @@ def test_negative_size_is_exit_2(capsys, argv):
     ["torsion-hunt", "--size", "0"],
     ["scan", "--which", "growth", "--size", "0"],
     ["scan", "--which", "example4", "--size", "0"],
+    ["simplicial"],
 ], ids=["homology-shelf", "homology-quandle", "torsion-hunt", "scan-growth",
-        "torsion-hunt-size-0", "scan-growth-size-0", "scan-example4-size-0"])
+        "torsion-hunt-size-0", "scan-growth-size-0", "scan-example4-size-0",
+        "simplicial"])
 @pytest.mark.parametrize("maxdeg", ["-1", "-3"])
 def test_negative_maxdeg_is_exit_2(tmp_path, capsys, argv, maxdeg):
     path = write(tmp_path, RACK_DOC)  # R_3 is a quandle, so both kinds take it
-    # only homology reads a document here; the hunt and these scans refuse --input
-    source = ["--input", path] if argv[0] == "homology" else []
+    # only homology and simplicial read a document here; the hunt and these
+    # scans refuse --input
+    source = ["--input", path] if argv[0] in ("homology", "simplicial") else []
     code, out, err = run(
         capsys, *argv, *source, "--maxdeg", maxdeg, "--no-timestamp",
     )

@@ -1,3 +1,5 @@
+import math
+from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 import pytest
@@ -124,10 +126,11 @@ def test_hyperplane_sample_cap():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and maps
-    in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    chunk size, and maps in this process, so no worker is ever started."""
 
     made = []
+    chunksizes = []
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
@@ -138,8 +141,38 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
+
+
+class _ChunkRecordingPool(ProcessPoolExecutor):
+    """A real process pool that records the chunk size it is asked for."""
+
+    chunksizes = []
+
+    def map(self, fn, *iterables, timeout=None, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return super().map(fn, *iterables, timeout=timeout, chunksize=chunksize)
+
+
+def _pin(monkeypatch, affinity, installed):
+    """Fix what the pool sees of the machine: the CPUs this process may run
+    on (None: the platform cannot say) and the CPUs installed."""
+    if affinity is None:
+        monkeypatch.delattr(scans.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(scans.os, "sched_getaffinity",
+                            lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: installed)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    _RecordingPool.made = []
+    _RecordingPool.chunksizes = []
+    monkeypatch.setattr(scans, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
 
 
 @pytest.mark.parametrize("jobs, items, cpus, workers", [
@@ -150,13 +183,50 @@ class _RecordingPool:
     (4, 1, 64, None),         # one item: serial
     (1, 720, 64, None),       # --jobs 1: serial
 ])
-def test_pool_map_clamps_workers(monkeypatch, jobs, items, cpus, workers):
-    _RecordingPool.made = []
-    monkeypatch.setattr(scans, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(scans.os, "cpu_count", lambda: cpus)
+def test_pool_map_clamps_workers(monkeypatch, recording_pool, jobs, items,
+                                 cpus, workers):
+    # cpus usable CPUs, all of those installed; None: the count is unknown
+    _pin(monkeypatch, None if cpus is None else range(cpus), cpus)
     got = scans._pool_map(abs, list(range(-items, 0)), jobs)
     assert got == list(range(items, 0, -1))
-    assert _RecordingPool.made == ([] if workers is None else [workers])
+    assert recording_pool.made == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("affinity, installed, workers", [
+    ({0, 1}, 64, 2),    # pinned to two of 64 CPUs
+    ({7}, 64, None),    # pinned to one: serial
+    (None, 8, 8),       # no affinity call on this platform: installed CPUs
+], ids=["pinned-2-of-64", "pinned-1-of-64", "no-affinity-8"])
+def test_pool_map_counts_usable_cpus(monkeypatch, recording_pool, affinity,
+                                     installed, workers):
+    _pin(monkeypatch, affinity, installed)
+    got = scans._pool_map(abs, list(range(-720, 0)), 10 ** 6)
+    assert got == list(range(720, 0, -1))
+    assert recording_pool.made == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("items", [720, 27])
+def test_pool_map_sends_chunks_in_item_order(monkeypatch, recording_pool, items):
+    _pin(monkeypatch, {0, 1}, 2)
+    got = scans._pool_map(abs, list(range(-items, 0)), 2)
+    assert got == list(range(items, 0, -1))
+    [chunk] = recording_pool.chunksizes
+    assert chunk > 1
+    # several tasks per worker, so one slow task is not the whole tail
+    assert math.ceil(items / chunk) > 2 * 2
+
+
+@pytest.mark.parametrize("scan", [
+    lambda jobs: torsion_hunt(3, 2, jobs=jobs),         # 48 classes
+    lambda jobs: scan_boolean(1, radius=1, jobs=jobs),  # 27 coefficient vectors
+], ids=["torsion-hunt-3", "boolean-radius-1"])
+def test_chunked_fan_out_matches_sequential(monkeypatch, scan):
+    _ChunkRecordingPool.chunksizes = []
+    monkeypatch.setattr(scans, "ProcessPoolExecutor", _ChunkRecordingPool)
+    _pin(monkeypatch, {0, 1}, 2)
+    assert scan(2).to_doc() == scan(1).to_doc()
+    [chunk] = _ChunkRecordingPool.chunksizes
+    assert chunk > 1
 
 
 def test_torsion_hunt_small_sizes_empty():
