@@ -13,22 +13,32 @@ relabelled rows in order and stops at the first row that differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import permutations, product
 from math import isqrt
 
 from .errors import OutOfRange, PracticalSizeLimit
 from .tables import BinaryOpTable
+from .value import Value
 
 CANONICAL_SIZE_LIMIT = 8
 ENUMERATION_SIZE_LIMIT = 5
 
 
-@dataclass(frozen=True, order=True)
-class IsoClassKey:
-    """Row-major flattening of the canonical (lex-min) table of a class."""
+@total_ordering
+class IsoClassKey(Value):
+    """Row-major flattening of the canonical (lex-min) table of a class;
+    keys sort by it."""
 
-    flat: tuple[int, ...]
+    __slots__ = ("flat",)
+
+    def __init__(self, flat: tuple[int, ...]):
+        self._set(flat)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.flat < other.flat
+        return NotImplemented
 
     @property
     def size(self) -> int:

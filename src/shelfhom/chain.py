@@ -20,7 +20,6 @@ the knot-theory literature calls the (n+1)-st rack homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -48,6 +47,7 @@ from .tables import (
     suffix_products,
     validate_multishelf,
 )
+from .value import Value
 
 DEFAULT_MEMORY_CAP = 1 << 26
 
@@ -149,19 +149,16 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
     return SparseIntMatrix._raw(n ** degree, n ** (degree + 1), data)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainComplex:
-    """An immutable built complex: boundary matrices d_0..d_maxdeg."""
+class ChainComplex(Value):
+    """An immutable built complex: boundary matrices d_0..d_maxdeg.  Two
+    complexes are equal only when they are the same object."""
 
-    size: int
-    ops: tuple
-    coefficients: tuple
-    augmented: bool
-    boundaries: tuple
+    __slots__ = ("size", "ops", "coefficients", "augmented", "boundaries")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for name in ("ops", "coefficients", "boundaries"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(self, size: int, ops, coefficients, augmented: bool, boundaries):
+        self._set(size, tuple(ops), tuple(coefficients), augmented, tuple(boundaries))
 
     @property
     def maxdeg(self) -> int:

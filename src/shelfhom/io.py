@@ -9,7 +9,6 @@ suppressed for byte-identical reruns.
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 
 from .errors import ParseError
 from .tables import BinaryOpTable, MultiShelf, Shelf, validate_multishelf, validate_shelf
@@ -92,6 +91,7 @@ def finish_report(payload: dict, no_timestamp: bool = False) -> dict:
     report = {"schema": SCHEMA_VERSION}
     report.update(payload)
     if not no_timestamp:
+        from datetime import datetime, timezone  # only a stamped report pays for it
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     return report
 

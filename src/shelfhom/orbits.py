@@ -8,10 +8,8 @@ the image of g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .tables import BinaryOpTable, Shelf, right_trivial_op, validate_shelf
+from .value import Value
 
 
 class UnionFind:
@@ -41,12 +39,14 @@ class UnionFind:
         return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Value):
     """Disjoint blocks covering {0..n-1}, ordered by smallest member."""
 
-    size: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("size", "blocks", "_block_index")
+
+    def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
+        index = {x: b for b, members in enumerate(blocks) for x in members}
+        self._set(size, blocks, index)
 
     @property
     def count(self) -> int:
@@ -55,14 +55,6 @@ class OrbitPartition:
     @property
     def representatives(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.blocks)
-
-    @cached_property
-    def _block_index(self):
-        idx = {}
-        for b, members in enumerate(self.blocks):
-            for x in members:
-                idx[x] = b
-        return idx
 
     def block_of(self, x: int) -> int:
         return self._block_index[x]
@@ -106,14 +98,14 @@ def orbit_quotient(shelf: Shelf):
     return validate_shelf(quotient_table), pi
 
 
-@dataclass(frozen=True)
-class ShelfFlags:
+class ShelfFlags(Value):
     """is_rack: every right translation is a bijection (the report's
     "rack" and "invertible" keys both read it)."""
 
-    is_spindle: bool
-    is_rack: bool
-    is_left_connected: bool
+    __slots__ = ("is_spindle", "is_rack", "is_left_connected")
+
+    def __init__(self, is_spindle: bool, is_rack: bool, is_left_connected: bool):
+        self._set(is_spindle, is_rack, is_left_connected)
 
 
 def is_spindle(table: BinaryOpTable) -> bool:

@@ -17,7 +17,6 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from .census import canonical_form, enumerate_shelves
@@ -26,26 +25,32 @@ from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange, SpecPrec
 from .families import boolean_multishelf, pointed_map
 from .orbits import left_orbits
 from .tables import BinaryOpTable, Shelf, validate_multishelf
+from .value import Value
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 NOT_COMPUTED = "not-computed"
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    params: dict
-    observed: object
-    conjectured: object
-    verdict: str
+class ScanPoint(Value):
+    __slots__ = ("params", "observed", "conjectured", "verdict")
+
+    def __init__(self, params: dict, observed, conjectured, verdict: str):
+        self._set(params, observed, conjectured, verdict)
 
 
-@dataclass
-class ScanReport:
-    conjecture: str
-    params: dict
-    points: list[ScanPoint] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+class ScanReport(Value):
+    """The one mutable value type: a scan appends points, fills the summary."""
+
+    __slots__ = ("conjecture", "params", "points", "summary")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, conjecture: str, params: dict,
+                 points: list[ScanPoint] | None = None, summary: dict | None = None):
+        self._set(conjecture, params, [] if points is None else points,
+                  {} if summary is None else summary)
 
     def finish(self):
         counts = Counter(p.verdict for p in self.points)
@@ -58,7 +63,19 @@ class ScanReport:
         return self
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return _doc(self)
+
+
+def _doc(obj):
+    # a copy of the report's JSON data in which every value type becomes the
+    # dict of its fields, as dataclasses.asdict made it
+    if isinstance(obj, Value):
+        return {name: _doc(getattr(obj, name)) for name in obj._fields}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_doc(v) for v in obj)
+    if isinstance(obj, dict):
+        return {_doc(k): _doc(v) for k, v in obj.items()}
+    return obj
 
 
 def _usable_cpus():

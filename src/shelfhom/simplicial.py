@@ -17,7 +17,6 @@ of the shelf.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .chain import boundary_matrix
@@ -26,19 +25,21 @@ from .intmat import SparseIntMatrix
 from .orbits import UnionFind
 from .snf import HomologyGroup, homology_from_boundaries
 from .tables import Shelf, suffix_products
+from .value import Value
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TUPLE_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class ShelfComplex:
+class ShelfComplex(Value):
     """Simplices per dimension, each a sorted tuple of vertices."""
 
-    size: int
-    maxdim: int
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("size", "maxdim", "simplices")
+
+    def __init__(self, size: int, maxdim: int,
+                 simplices: tuple[tuple[tuple[int, ...], ...], ...]):
+        self._set(size, maxdim, simplices)
 
     def count(self, dim: int) -> int:
         if not 0 <= dim <= self.maxdim:

@@ -30,11 +30,11 @@ here.  All arithmetic is on Python ints, so nothing overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd, lcm
 
 from .intmat import SparseIntMatrix
+from .value import Value
 
 
 def _check_chain(factors, least):
@@ -48,19 +48,24 @@ def _check_chain(factors, least):
         prev = f
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Value):
     """Invariant factors s1 | s2 | ... | sr of an integer matrix.
 
     paired holds the columns of the unit pivots taken before the first
     Euclid step; it is a by-product of the elimination, not part of the
-    form, so it takes no part in == or repr."""
+    form, so it takes no part in ==, hash or repr."""
 
-    factors: tuple[int, ...]
-    paired: frozenset = field(default=frozenset(), compare=False, repr=False)
+    __slots__ = ("factors", "paired")
 
-    def __post_init__(self):
-        _check_chain(self.factors, 1)
+    def __init__(self, factors: tuple[int, ...], paired: frozenset = frozenset()):
+        self._set(factors, paired)
+        _check_chain(factors, 1)
+
+    def _key(self):
+        return (self.factors,)
+
+    def __repr__(self):
+        return f"SmithForm(factors={self.factors!r})"
 
     @property
     def rank(self) -> int:
@@ -70,18 +75,16 @@ class SmithForm:
         return tuple(f for f in self.factors if f > 1)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(Value):
     """Free rank plus torsion invariant factors in one degree."""
 
-    degree: int
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("degree", "rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"negative free rank {self.rank}")
-        _check_chain(self.torsion, 2)
+    def __init__(self, degree: int, rank: int, torsion: tuple[int, ...] = ()):
+        self._set(degree, rank, torsion)
+        if rank < 0:
+            raise ValueError(f"negative free rank {rank}")
+        _check_chain(torsion, 2)
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion

@@ -12,8 +12,6 @@ form a monoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BoundExceeded,
     DistributivityViolation,
@@ -23,19 +21,20 @@ from .errors import (
     OutOfRange,
     SizeMismatch,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BinaryOpTable:
+class BinaryOpTable(Value):
     """Multiplication table of one binary operation on {0..n-1}."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        self._set(entries)
+        n = len(entries)
         if n == 0:
             raise OutOfRange("a table needs a nonempty carrier")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise SizeMismatch(
                     f"ragged table: row of length {len(row)} in a size-{n} table"
@@ -61,11 +60,13 @@ class BinaryOpTable:
         return tuple(v for row in self.entries for v in row)
 
 
-@dataclass(frozen=True)
-class Shelf:
+class Shelf(Value):
     """A table certified self-distributive; build via :func:`validate_shelf`."""
 
-    table: BinaryOpTable
+    __slots__ = ("table",)
+
+    def __init__(self, table: BinaryOpTable):
+        self._set(table)
 
     @property
     def size(self) -> int:
@@ -75,8 +76,7 @@ class Shelf:
         return self.table.entries[x][y]
 
 
-@dataclass(frozen=True)
-class MultiShelf:
+class MultiShelf(Value):
     """An ordered family of mutually distributive tables on one carrier.
 
     Build via :func:`validate_multishelf`; mutual distributivity is required
@@ -84,7 +84,10 @@ class MultiShelf:
     each member is in particular a shelf operation.
     """
 
-    ops: tuple[BinaryOpTable, ...]
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: tuple[BinaryOpTable, ...]):
+        self._set(ops)
 
     @property
     def size(self) -> int:

@@ -26,3 +26,22 @@ def test_each_module_imports_on_its_own():
         capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr
+
+
+# dataclasses (which pulls in inspect) and datetime cost every CLI process
+# start-up time; the value types are plain slotted classes and io stamps the
+# report time with a local import.
+HEAVY = ("dataclasses", "inspect", "datetime")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_datetime():
+    root = str(Path(shelfhom.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); import shelfhom.cli; "
+        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []

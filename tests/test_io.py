@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -68,7 +69,8 @@ def test_finish_report_and_dump(tmp_path):
     report = finish_report({"x": 1}, no_timestamp=True)
     assert report == {"schema": 1, "x": 1}
     stamped = finish_report({"x": 1})
-    assert "generated_at" in stamped
+    when = datetime.fromisoformat(stamped["generated_at"])
+    assert when.utcoffset() == timedelta(0)
     path = tmp_path / "r.json"
     text = dump_report(report, path)
     assert path.read_text() == text
