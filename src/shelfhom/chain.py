@@ -248,13 +248,12 @@ def preset_complex(structure, kind: str, maxdeg: int, coefficients=None,
     if coefficients is None:
         raise SizeMismatch(f"kind={kind} needs one coefficient per operation")
     augmented = default_augmented if augmented is None else augmented
-    if kind == "quandle":
-        return quandle_quotient_complex(
-            structure, coefficients, maxdeg + 1, augmented, cap
-        )
-    if kind == "rack":
+    if kind in ("rack", "quandle"):
+        if not isinstance(structure, Shelf):
+            raise SizeMismatch(f"kind={kind} needs a Shelf, got {type(structure).__name__}")
         structure = MultiShelf((structure.table, identity_op(structure.size)))
-    return build_complex(structure, coefficients, maxdeg + 1, augmented, cap)
+    build = quandle_quotient_complex if kind == "quandle" else build_complex
+    return build(structure, coefficients, maxdeg + 1, augmented, cap)
 
 
 def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
@@ -298,27 +297,28 @@ def _quotient_faces(ms, coefficients, degree, kept):
     return sorted(data.items(), key=lambda entry: entry[0][1])
 
 
-def quandle_quotient_complex(shelf: Shelf, coefficients=(1, -1),
-                             maxdeg: int = 3, augmented: bool = False,
+def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = False,
                              cap: int = DEFAULT_MEMORY_CAP) -> ChainComplex:
-    """The quotient of the tuple complex by degenerate chains.
+    """The quotient of the tuple complex of a multi-spindle by degenerate chains.
 
-    Degenerate chains (some x_i = x_{i+1}) form a subcomplex for spindles
-    under the (op, identity) differentials.  Each degree is assembled once,
-    from the face terms that land on nondegenerate rows only: a degenerate
-    column that keeps a term raises a structured error naming the least
-    such tuple, and the nondegenerate columns form the quotient matrix.
+    Takes what :func:`build_complex` takes: a Shelf or MultiShelf whose
+    operations are all spindles (x * x = x), and any coefficients.  Faces i
+    and i+1 of a tuple with x_i = x_{i+1} then cancel, so the degenerate
+    chains form a subcomplex.  Each degree is assembled once, from the face
+    terms that land on nondegenerate rows only: a degenerate column that
+    keeps a term raises a structured error naming the least such tuple, and
+    the nondegenerate columns form the quotient matrix.  The name is kept
+    because quandle homology, the preset (op, identity) under (1, -1), is
+    its best-known case and callers look the function up by that name.
     """
-    if not is_spindle(shelf.table):
+    ms = as_multishelf(ms)
+    if not all(is_spindle(op) for op in ms.ops):
         raise NotASpindle("degenerate chains only form a subcomplex for spindles")
     if maxdeg < 0:
         raise DegreeNegative(f"maxdeg {maxdeg} < 0")
-    n = shelf.size
+    n = ms.size
     check_memory_cap(n, maxdeg, cap)
-    ms = MultiShelf((shelf.table, identity_op(n)))
     coefficients = tuple(coefficients)
-    if len(coefficients) != 2:
-        raise SizeMismatch("the degenerate quotient uses the (op, identity) pair")
 
     # degree 0 has no degenerate tuples, so d_0 is the full one
     boundaries = [boundary_matrix(ms, coefficients, 0, augmented)]

@@ -70,11 +70,6 @@ class SparseIntMatrix:
         """Entries as (row, col, value), sorted for deterministic output."""
         return [(i, j, self.data[(i, j)]) for (i, j) in sorted(self.data)]
 
-    def __neg__(self):
-        return SparseIntMatrix._raw(
-            self.nrows, self.ncols, {k: -v for k, v in self.data.items()}
-        )
-
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
             raise SizeMismatch(

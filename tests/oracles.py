@@ -180,9 +180,31 @@ def dense_tuple_boundary(ops, coefficients, d, augmented):
     return mat
 
 
+def _is_degenerate(tup):
+    return any(tup[i] == tup[i + 1] for i in range(len(tup) - 1))
+
+
 def _nondegenerate(n, d):
-    return [tup for tup in product(range(n), repeat=d + 1)
-            if all(tup[i] != tup[i + 1] for i in range(d))]
+    return [tup for tup in product(range(n), repeat=d + 1) if not _is_degenerate(tup)]
+
+
+def dense_degeneracy_blocks(ops, coefficients, d, augmented):
+    """:func:`dense_tuple_boundary`'s d_d cut by degeneracy: a tuple is
+    degenerate when two adjacent entries are equal.  Returns
+    {(row tuples degenerate, column tuples degenerate): (block, column
+    count)}, rows and columns in lexicographic order.  Degree 0's rows (the
+    augmentation's empty tuple) and columns (the 1-tuples) are all
+    nondegenerate."""
+    n = len(ops[0])
+    full = dense_tuple_boundary(ops, coefficients, d, augmented)
+    row_tuples = list(product(range(n), repeat=d)) if full else []
+    col_tuples = list(product(range(n), repeat=d + 1))
+    blocks = {}
+    for row_deg, col_deg in product((False, True), repeat=2):
+        rows = [i for i, tup in enumerate(row_tuples) if _is_degenerate(tup) == row_deg]
+        cols = [j for j, tup in enumerate(col_tuples) if _is_degenerate(tup) == col_deg]
+        blocks[row_deg, col_deg] = [[full[i][j] for j in cols] for i in rows], len(cols)
+    return blocks
 
 
 def dense_quandle_boundary(rows, d):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import gcd
 
 import pytest
 
@@ -47,6 +48,11 @@ EXCEPTIONAL3 = validate_shelf(
 DIHEDRAL3 = validate_shelf(
     BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3)
 )
+
+
+def _pair(table):
+    """The (op, identity) multi-shelf that rack and quandle homology use."""
+    return MultiShelf((table, identity_op(table.size)))
 
 
 def test_basis_index_examples():
@@ -183,7 +189,7 @@ def test_dd_check_fires_on_a_corrupted_entry(monkeypatch):
     assert str(exc.value) == "d_2 o d_3 != 0"
     monkeypatch.setattr(chain, "_quotient_faces", corrupt_faces)
     with pytest.raises(DDNotZero) as exc:
-        quandle_quotient_complex(DIHEDRAL3, (1, -1), 4)
+        quandle_quotient_complex(_pair(DIHEDRAL3.table), (1, -1), 4)
     assert str(exc.value) == "quotient d_2 o d_3 != 0"
 
 
@@ -288,6 +294,11 @@ def test_preset_complex_multi_and_bad_degrees():
             == [g.rank for g in preset_homology(DIHEDRAL3, "rack", 1)])
     with pytest.raises(SizeMismatch):
         preset_complex(ms, "multi", 1)
+    # rack and quandle pair the one operation with the identity
+    for call in (preset_complex, preset_homology):
+        for kind in ("rack", "quandle"):
+            with pytest.raises(SizeMismatch, match=f"kind={kind} needs a Shelf, got MultiShelf"):
+                call(ms, kind, 1)
     for kind in ("shelf", "quandle"):
         with pytest.raises(DegreeNegative, match="maxdeg -1 < 0"):
             preset_complex(DIHEDRAL3, kind, -1)
@@ -303,7 +314,7 @@ def test_preset_complex_refuses_an_unknown_kind_with_a_structured_error():
 
 def test_quandle_quotient_dimensions():
     n = 3
-    cx = quandle_quotient_complex(DIHEDRAL3, (1, -1), 3)
+    cx = quandle_quotient_complex(_pair(DIHEDRAL3.table), (1, -1), 3)
     assert cx.dims == tuple(n * (n - 1) ** d if d else n for d in range(4))
     for d in range(1, 4):
         assert cx.boundary(d - 1).matmul(cx.boundary(d)).is_zero()
@@ -332,13 +343,95 @@ def test_quandle_quotient_matrices_against_dense_oracle(labelled_by_size):
         if is_spindle(table)
     ]
     for table, maxdeg in cases:
-        cx = quandle_quotient_complex(Shelf(table), (1, -1), maxdeg)
+        cx = quandle_quotient_complex(_pair(table), (1, -1), maxdeg)
         rows = [list(r) for r in table.entries]
         assert cx.boundary(0).to_dense() == []
         for d in range(1, maxdeg + 1):
             assert cx.boundary(d).to_dense() == oracles.dense_quandle_boundary(
                 rows, d
             ), (table, d)
+
+
+def _primary_parts(torsion):
+    """The prime-power factors of the torsion factors, sorted."""
+    parts = []
+    for t in torsion:
+        p = 2
+        while t > 1:
+            q = 1
+            while t % p == 0:
+                t, q = t // p, q * p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+def _multi_spindles(labelled_by_size):
+    """(multi-spindle, coefficients, maxdeg): every spindle of size <= 3 as
+    (op, identity) under three pairs, and the Boolean multi-spindles under
+    seeded coefficients."""
+    from shelfhom.orbits import is_spindle
+
+    for n in (1, 2, 3):
+        for table in labelled_by_size[n]:
+            if is_spindle(table):
+                for coefficients in ((1, -1), (1, 1), (2, -1)):
+                    yield _pair(table), coefficients, 3
+    rng = random.Random(2111)
+    for omega, maxdeg in ((1, 4), (2, 3)):
+        ms = boolean_multishelf(omega)
+        for _ in range(6):
+            yield ms, tuple(rng.randint(-3, 3) for _ in ms.ops), maxdeg
+
+
+def test_degenerate_splitting_and_quotient_against_dense_blocks(labelled_by_size):
+    # for a multi-spindle the degenerate chains D form a subcomplex under any
+    # coefficients, and H = H^N + H^D: free ranks and primary torsion parts
+    # add.  H^D comes from the dense oracle cut to the degenerate tuples,
+    # which shares no code with the quotient's face loop, and the quotient's
+    # matrices must be the oracle cut to the nondegenerate tuples.
+    checks = 0
+    for ms, coefficients, maxdeg in _multi_spindles(labelled_by_size):
+        ops = [[list(r) for r in op.entries] for op in ms.ops]
+        for augmented in (True, False):
+            quotient = quandle_quotient_complex(ms, coefficients, maxdeg, augmented)
+            degenerate = []
+            for d in range(maxdeg + 1):
+                blocks = oracles.dense_degeneracy_blocks(ops, coefficients, d, augmented)
+                leak, _ = blocks[False, True]
+                assert not any(map(any, leak)), (ms, coefficients, d)
+                nondeg, width = blocks[False, False]
+                got = quotient.boundary(d)
+                assert got.shape == (len(nondeg), width)
+                assert got.to_dense() == nondeg, (ms, coefficients, augmented, d)
+                degenerate.append(SparseIntMatrix.from_dense(*blocks[True, True]))
+            full = build_complex(ms, coefficients, maxdeg, augmented)
+            for h, hn, hd in zip(homology_groups(full, maxdeg - 1),
+                                 homology_groups(quotient, maxdeg - 1),
+                                 snf.homology_from_boundaries(degenerate)):
+                assert h.rank == hn.rank + hd.rank, (ms, coefficients, h.degree)
+                assert _primary_parts(h.torsion) == sorted(
+                    _primary_parts(hn.torsion) + _primary_parts(hd.torsion)
+                ), (ms, coefficients, augmented, h.degree)
+                checks += 1
+    assert checks == 1308
+
+
+def test_quotient_takes_a_multi_shelf_of_spindles_only():
+    ms = boolean_multishelf(1)
+    cx = quandle_quotient_complex(ms, (1, 0, -2, 3), 3)
+    assert (cx.ops, cx.coefficients, cx.augmented) == (ms.ops, (1, 0, -2, 3), False)
+    assert cx.dims == (2, 2, 2, 2)
+    c4 = BinaryOpTable.from_function(4, lambda x, y: (x + 1) % 4)
+    with pytest.raises(NotASpindle):
+        quandle_quotient_complex(_pair(c4), (1, -1), 2)
+    with pytest.raises(NotASpindle):
+        quandle_quotient_complex(Shelf(c4), (1,), 2)
+    with pytest.raises(SizeMismatch, match="1 coefficients for 4 operations"):
+        quandle_quotient_complex(ms, (1,), 2)
+    with pytest.raises(DegreeNegative, match="maxdeg -1 < 0"):
+        quandle_quotient_complex(ms, (1, 1, 1, 1), -1)
 
 
 # sha256 of repr([(shape, list(data.items())), ...]) over the boundaries.
@@ -358,13 +451,12 @@ def test_quandle_quotient_matrices_against_dense_oracle(labelled_by_size):
 ], ids=["R3-quotient", "R5-quotient", "R3-quotient-(1,1)", "R3-quotient-(2,-1)",
         "R7-rack"])
 def test_boundary_entry_order_is_pinned(n, kind, coefficients, maxdeg, digest):
-    dihedral = BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n)
+    ms = _pair(BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n))
     if kind == "rack":
-        ms = MultiShelf((dihedral, identity_op(n)))
         mats = [boundary_matrix(ms, coefficients, d, augmented=False)
                 for d in range(maxdeg + 1)]
     else:
-        mats = quandle_quotient_complex(Shelf(dihedral), coefficients, maxdeg).boundaries
+        mats = quandle_quotient_complex(ms, coefficients, maxdeg).boundaries
     got = repr([(m.shape, list(m.data.items())) for m in mats])
     assert hashlib.sha256(got.encode()).hexdigest() == digest
 
@@ -377,7 +469,7 @@ def test_degenerate_subcomplex_check_fires(monkeypatch):
     monkeypatch.setattr(chain, "is_spindle", lambda table: True)
     zero = validate_shelf(BinaryOpTable.from_function(2, lambda x, y: 0))
     with pytest.raises(DegenerateNotSubcomplex, match=r"d\(\(1, 1\)\)"):
-        quandle_quotient_complex(zero, (1, -1), maxdeg=2)
+        quandle_quotient_complex(_pair(zero.table), (1, -1), maxdeg=2)
 
 
 def test_degenerate_check_names_the_least_leaking_tuple(monkeypatch, labelled_by_size):
@@ -396,12 +488,12 @@ def test_degenerate_check_names_the_least_leaking_tuple(monkeypatch, labelled_by
         )
         x = min(x for x in range(3) if any(row[4 * x] for row in d1))
         with pytest.raises(DegenerateNotSubcomplex) as exc:
-            quandle_quotient_complex(Shelf(table), (1, -1), maxdeg=3)
+            quandle_quotient_complex(_pair(table), (1, -1), maxdeg=3)
         assert str(exc.value).startswith(f"d(({x}, {x})) "), table
     # x*y = 0: d((1, 1)) and d((2, 2)) both leak; the message is pinned
     zero = validate_shelf(BinaryOpTable.from_function(3, lambda x, y: 0))
     with pytest.raises(DegenerateNotSubcomplex) as exc:
-        quandle_quotient_complex(zero, (1, -1), maxdeg=3)
+        quandle_quotient_complex(_pair(zero.table), (1, -1), maxdeg=3)
     assert str(exc.value) == (
         "d((1, 1)) has a nondegenerate term at degree 1 for coefficients (1, -1)"
     )
@@ -449,6 +541,52 @@ def test_quandle_dihedral5_matches_nosaka_through_degree_4(monkeypatch):
     assert (reduced.shape, full.shape) == ((1280, 5120), (1280, 5120))
     assert reduced.nnz < full.nnz
     assert original(reduced) == original(full)
+
+
+def _orbits_and_inner_order(table):
+    """The number of orbits of the right translations x -> x * y, and the
+    order of the group Inn X they generate, found by closing them."""
+    n = table.size
+    gens = [tuple(table.entries[x][y] for x in range(n)) for y in range(n)]
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[h[x]] for x in range(n))
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    orbits = {frozenset(h[x] for h in group) for x in range(n)}
+    return len(orbits), len(group)
+
+
+def test_rack_and_quandle_groups_follow_the_inner_group(classes3, classes4):
+    # with o the orbits of the right translations and Inn X the group they
+    # generate: rank H^R_d = o^(d+1) (Etingof-Grana), rank H^Q_d = o(o-1)^d
+    # (Litherland-Nelson), and every torsion prime divides |Inn X|
+    from shelfhom.census import enumerate_shelves
+    from shelfhom.orbits import is_invertible, is_spindle
+
+    classes = enumerate_shelves(1) + enumerate_shelves(2) + classes3 + classes4
+    cases = [(key.table(), 3 if key.size <= 3 else 2) for key in classes
+             if is_invertible(key.table())]
+    assert len(cases) == 1 + 2 + 6 + 19  # OEIS A181769
+    for n, maxdeg in ((3, 3), (5, 2), (7, 2)):
+        cases.append((BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n), maxdeg))
+    complexes = 0
+    for table, maxdeg in cases:
+        orbits, inner = _orbits_and_inner_order(table)
+        rules = {"rack": lambda d: orbits ** (d + 1)}
+        if is_spindle(table):
+            rules["quandle"] = lambda d: orbits * (orbits - 1) ** d
+        for kind, rank in rules.items():
+            complexes += 1
+            for g in preset_homology(Shelf(table), kind, maxdeg):
+                assert g.rank == rank(g.degree), (table, kind, g)
+                # a prime power shares a factor with |Inn X| iff its prime divides it
+                assert all(gcd(q, inner) > 1 for q in _primary_parts(g.torsion)), (table, kind, g)
+    assert complexes == 46
 
 
 def _random_multishelves(rng, labelled_by_size, count):
@@ -505,7 +643,9 @@ def test_partial_differentials_anticommute_on_samples(labelled_by_size):
             dl_low = boundary_matrix(ms, (0, 1), d - 1, augmented=False)
             dk_high = boundary_matrix(ms, (1, 0), d, augmented=False)
             dl_high = boundary_matrix(ms, (0, 1), d, augmented=False)
-            assert dk_low.matmul(dl_high) == -dl_low.matmul(dk_high)
+            lk, kl = dk_low.matmul(dl_high), dl_low.matmul(dk_high)
+            assert lk.shape == kl.shape
+            assert lk.data == {ij: -v for ij, v in kl.data.items()}
 
 
 def test_homology_invariant_under_basis_permutation():

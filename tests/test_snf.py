@@ -428,7 +428,6 @@ def test_matmul_and_add():
     a = SparseIntMatrix.from_dense([[1, 2], [0, 1]])
     b = SparseIntMatrix.from_dense([[1, 0], [3, 1]])
     assert a.matmul(b).to_dense() == [[7, 2], [3, 1]]
-    assert (-a).to_dense() == [[-1, -2], [0, -1]]
 
 
 def _dense_product(a, b, ncols):
@@ -477,7 +476,7 @@ def test_matmul_cancels_to_zero_on_boundaries():
     complexes = [
         build_complex(exceptional, (1,), 3).boundaries,
         build_complex(rack, (1, -1), 3, augmented=False).boundaries,
-        quandle_quotient_complex(dihedral, (1, -1), 4).boundaries,
+        quandle_quotient_complex(rack, (1, -1), 4).boundaries,
     ]
     for mats in complexes:
         for low, high in zip(mats, mats[1:]):
