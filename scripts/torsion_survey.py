@@ -20,13 +20,13 @@ def main():
     args = parser.parse_args()
     for size in range(1, args.size + 1):
         report = torsion_hunt(size, args.maxdeg)
-        found = report.summary["classes_with_torsion"]
-        print(f"size {size}: {report.summary['classes_scanned']} classes, "
+        found = report["summary"]["classes_with_torsion"]
+        print(f"size {size}: {report['summary']['classes_scanned']} classes, "
               f"{found} with torsion through degree {args.maxdeg}")
-        for point in report.points:
-            shape = "pointed-map" if point.observed["pointed_map_type"] else "other"
-            print(f"  table {point.params['class']}  "
-                  f"torsion {point.observed['torsion_by_degree']}  [{shape}]")
+        for point in report["points"]:
+            shape = "pointed-map" if point["observed"]["pointed_map_type"] else "other"
+            print(f"  table {point['params']['class']}  "
+                  f"torsion {point['observed']['torsion_by_degree']}  [{shape}]")
 
 
 if __name__ == "__main__":

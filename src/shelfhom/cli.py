@@ -271,19 +271,17 @@ def cmd_scan(args):
         given["augmented"] = augmented
     size = 3 if args.size is None else args.size
     if args.which == "growth":
-        report = scan_growth(size, **given)
-    elif args.which == "example4":
-        report = scan_example4(size, **given)
-    elif args.which == "boolean":
-        report = scan_boolean(1 if args.omega is None else args.omega, **given)
-    else:
-        report = scan_hyperplane(as_multishelf(_need_input(args)), **given)
-    return report.to_doc()
+        return scan_growth(size, **given)
+    if args.which == "example4":
+        return scan_example4(size, **given)
+    if args.which == "boolean":
+        return scan_boolean(1 if args.omega is None else args.omega, **given)
+    return scan_hyperplane(as_multishelf(_need_input(args)), **given)
 
 
 def cmd_torsion_hunt(args):
     given = {} if args.maxdeg is None else {"maxdeg": args.maxdeg}
-    return torsion_hunt(args.size, jobs=args.jobs, **given).to_doc()
+    return torsion_hunt(args.size, jobs=args.jobs, **given)
 
 
 COMMANDS = {

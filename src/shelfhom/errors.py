@@ -124,3 +124,7 @@ class BoundExceeded(ResourceCap):
 
 class DDNotZero(ShelfHomError):
     """d o d != 0 while building a complex; signals an implementation bug."""
+
+
+class FaceNotGenerated(ShelfHomError):
+    """A face of a generated simplex was not generated; signals a bug."""

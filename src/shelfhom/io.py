@@ -82,7 +82,9 @@ def load_structure(path):
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; a document
+        # nested past the recursion limit raises RecursionError
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return structure_from_doc(doc)
 

@@ -5,6 +5,11 @@ Scans only ever produce verdicts ("consistent" / "inconsistent" /
 so a failed point is a reportable observation, never an assertion failure.
 Only theorem-backed checks elsewhere in the package may fail a run.
 
+Each scan returns its report as the JSON document itself:
+{"conjecture", "params", "points", "summary"}, each point a
+{"params", "observed", "conjectured", "verdict"} dict, and the summary the
+verdict counts plus the scan's own keys.
+
 Independent (structure, coefficient, degree) jobs can fan out to a process
 pool; reports are assembled in grid order, so results do not depend on
 completion order.
@@ -25,57 +30,22 @@ from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange, SpecPrec
 from .families import boolean_multishelf, pointed_map
 from .orbits import left_orbits
 from .tables import BinaryOpTable, Shelf, validate_multishelf
-from .value import Value
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 NOT_COMPUTED = "not-computed"
 
 
-class ScanPoint(Value):
-    __slots__ = ("params", "observed", "conjectured", "verdict")
-
-    def __init__(self, params: dict, observed, conjectured, verdict: str):
-        self._set(params, observed, conjectured, verdict)
-
-
-class ScanReport(Value):
-    """The one mutable value type: a scan appends points, fills the summary."""
-
-    __slots__ = ("conjecture", "params", "points", "summary")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, conjecture: str, params: dict,
-                 points: list[ScanPoint] | None = None, summary: dict | None = None):
-        self._set(conjecture, params, [] if points is None else points,
-                  {} if summary is None else summary)
-
-    def finish(self):
-        counts = Counter(p.verdict for p in self.points)
-        self.summary.setdefault("points", len(self.points))
-        for verdict in (CONSISTENT, INCONSISTENT, NOT_COMPUTED):
-            self.summary.setdefault(verdict, counts.get(verdict, 0))
-        self.summary.setdefault(
-            "all_consistent", counts.get(INCONSISTENT, 0) == 0
-        )
-        return self
-
-    def to_doc(self) -> dict:
-        return _doc(self)
-
-
-def _doc(obj):
-    # a copy of the report's JSON data in which every value type becomes the
-    # dict of its fields, as dataclasses.asdict made it
-    if isinstance(obj, Value):
-        return {name: _doc(getattr(obj, name)) for name in obj._fields}
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(_doc(v) for v in obj)
-    if isinstance(obj, dict):
-        return {_doc(k): _doc(v) for k, v in obj.items()}
-    return obj
+def _report(conjecture: str, params: dict, points: list, **extra) -> dict:
+    """The report document; its summary is the verdict counts plus ``extra``."""
+    counts = Counter(p["verdict"] for p in points)
+    summary = {"points": len(points)}
+    for verdict in (CONSISTENT, INCONSISTENT, NOT_COMPUTED):
+        summary[verdict] = counts[verdict]
+    summary["all_consistent"] = counts[INCONSISTENT] == 0
+    summary.update(extra)
+    return {"conjecture": conjecture, "params": params, "points": points,
+            "summary": summary}
 
 
 def _usable_cpus():
@@ -117,7 +87,7 @@ def _check_class_scan(name: str, size: int, maxdeg: int):
         raise DegreeNegative(f"maxdeg {maxdeg} < 0")
 
 
-def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
+def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> dict:
     """rank H_{d+1} = |X| * rank H_d for d >= |X| - 2, over all iso classes.
 
     The summary also records how rank H_1 of each shelf compares with
@@ -127,20 +97,20 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
     """
     _check_class_scan("growth scan", size, maxdeg)
     keys = enumerate_shelves(size)
-    report = ScanReport("growth", {"size": size, "maxdeg": maxdeg})
     rank_lists = _ranks([(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs)
     start = max(size - 2, 0)
+    points = []
     quotient_cmp = {"greater": 0, "equal": 0, "less": 0}
     witnesses = {}
     for key, ranks in zip(keys, rank_lists):
         for d in range(start, maxdeg):
             expected = size * ranks[d]
-            report.points.append(ScanPoint(
-                params={"class": list(key.flat), "degree": d},
-                observed={"rank": ranks[d], "rank_next": ranks[d + 1]},
-                conjectured={"rank_next": expected},
-                verdict=CONSISTENT if ranks[d + 1] == expected else INCONSISTENT,
-            ))
+            points.append({
+                "params": {"class": list(key.flat), "degree": d},
+                "observed": {"rank": ranks[d], "rank_next": ranks[d + 1]},
+                "conjectured": {"rank_next": expected},
+                "verdict": CONSISTENT if ranks[d + 1] == expected else INCONSISTENT,
+            })
         if maxdeg >= 1:
             r = left_orbits(Shelf(key.table())).count
             quotient_h1 = (r - 1) * r
@@ -151,10 +121,11 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> ScanReport:
             )
             quotient_cmp[side] += 1
             witnesses.setdefault(side, list(key.flat))
+    extra = {}
     if maxdeg >= 1:
-        report.summary["quotient_h1_comparison"] = quotient_cmp
-        report.summary["quotient_h1_witnesses"] = witnesses
-    return report.finish()
+        extra = {"quotient_h1_comparison": quotient_cmp,
+                 "quotient_h1_witnesses": witnesses}
+    return _report("growth", {"size": size, "maxdeg": maxdeg}, points, **extra)
 
 
 def pointed_map_shelves(size: int):
@@ -191,23 +162,23 @@ def is_pointed_map_type(table: BinaryOpTable) -> bool:
     return False
 
 
-def scan_example4(size: int, maxdeg: int = 3, jobs: int = 1) -> ScanReport:
+def scan_example4(size: int, maxdeg: int = 3, jobs: int = 1) -> dict:
     """Pointed-map family rank formula |X|^(d-1)*(2+(|X|+1)*(r-2)), d >= 1."""
     _check_class_scan("example4 scan", size, maxdeg)
     shelves = pointed_map_shelves(size)
-    report = ScanReport("example4", {"size": size, "maxdeg": maxdeg})
     rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
+    points = []
     for shelf, ranks in zip(shelves, rank_lists):
         r = left_orbits(shelf).count
         for d in range(1, maxdeg + 1):
             expected = size ** (d - 1) * (2 + (size + 1) * (r - 2))
-            report.points.append(ScanPoint(
-                params={"class": list(shelf.table.flat()), "orbits": r, "degree": d},
-                observed={"rank": ranks[d]},
-                conjectured={"rank": expected},
-                verdict=CONSISTENT if ranks[d] == expected else INCONSISTENT,
-            ))
-    return report.finish()
+            points.append({
+                "params": {"class": list(shelf.table.flat()), "orbits": r, "degree": d},
+                "observed": {"rank": ranks[d]},
+                "conjectured": {"rank": expected},
+                "verdict": CONSISTENT if ranks[d] == expected else INCONSISTENT,
+            })
+    return _report("example4", {"size": size, "maxdeg": maxdeg}, points)
 
 
 def _boolean_conjectured(omega: int, coeffs, degree: int):
@@ -230,7 +201,7 @@ def _boolean_conjectured(omega: int, coeffs, degree: int):
 
 
 def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
-                 augmented: bool = True, jobs: int = 1) -> ScanReport:
+                 augmented: bool = True, jobs: int = 1) -> dict:
     """The subset multi-shelf (identity, meet, join) over a coefficient grid."""
     if omega > 2:
         raise CapExceeded(f"boolean scan capped at |Omega| = 2, got {omega}")
@@ -244,29 +215,30 @@ def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
     four = boolean_multishelf(omega)
     ms = validate_multishelf(four.ops[:3])
     grid = list(product(range(-radius, radius + 1), repeat=3))
-    report = ScanReport(
-        "boolean",
-        {"omega": omega, "radius": radius, "maxdeg": maxdeg, "augmented": augmented},
-    )
     rank_lists = _ranks(
         [(ms, "multi", maxdeg, coeffs, augmented) for coeffs in grid], jobs
     )
+    points = []
     for coeffs, ranks in zip(grid, rank_lists):
         conjectured = [
             _boolean_conjectured(omega, coeffs, d) for d in range(maxdeg + 1)
         ]
-        report.points.append(ScanPoint(
-            params={"coefficients": list(coeffs)},
-            observed={"ranks": ranks},
-            conjectured={"ranks": conjectured},
-            verdict=CONSISTENT if ranks == conjectured else INCONSISTENT,
-        ))
-    return report.finish()
+        points.append({
+            "params": {"coefficients": list(coeffs)},
+            "observed": {"ranks": ranks},
+            "conjectured": {"ranks": conjectured},
+            "verdict": CONSISTENT if ranks == conjectured else INCONSISTENT,
+        })
+    return _report(
+        "boolean",
+        {"omega": omega, "radius": radius, "maxdeg": maxdeg, "augmented": augmented},
+        points,
+    )
 
 
 def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
                     seed: int = 0, augmented: bool = True,
-                    jobs: int = 1) -> ScanReport:
+                    jobs: int = 1) -> dict:
     """Probe whether the rank sequence is generically coefficient-independent.
 
     Draws nonzero integer coefficient vectors from a box, computes the rank
@@ -296,7 +268,16 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
     counts = Counter(tuple(r) for r in rank_lists)
     top = max(counts.values())
     generic = sorted(seq for seq, c in counts.items() if c == top)[0]
-    report = ScanReport(
+    points = [
+        {
+            "params": {"coefficients": list(vec)},
+            "observed": {"ranks": ranks},
+            "conjectured": {"ranks": list(generic)},
+            "verdict": CONSISTENT if tuple(ranks) == generic else INCONSISTENT,
+        }
+        for vec, ranks in zip(vectors, rank_lists)
+    ]
+    return _report(
         "hyperplane",
         {
             "size": ms.size,
@@ -307,21 +288,13 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
             "seed": seed,
             "augmented": augmented,
         },
+        points,
+        generic_ranks=list(generic),
+        exceptional_fraction=(len(vectors) - top) / len(vectors),
     )
-    for vec, ranks in zip(vectors, rank_lists):
-        report.points.append(ScanPoint(
-            params={"coefficients": list(vec)},
-            observed={"ranks": ranks},
-            conjectured={"ranks": list(generic)},
-            verdict=CONSISTENT if tuple(ranks) == generic else INCONSISTENT,
-        ))
-    report.summary["generic_ranks"] = list(generic)
-    report.finish()
-    report.summary["exceptional_fraction"] = report.summary[INCONSISTENT] / len(vectors)
-    return report
 
 
-def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> ScanReport:
+def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> dict:
     """List every iso class with torsion in degrees <= maxdeg.
 
     Each find is flagged when the class has the pointed-map shape of the
@@ -329,27 +302,26 @@ def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> ScanReport:
     """
     _check_class_scan("torsion hunt", size, maxdeg)
     keys = enumerate_shelves(size)
-    report = ScanReport("torsion-hunt", {"size": size, "maxdeg": maxdeg})
     group_lists = _pool_map(
         _groups, [(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs
     )
-    found = 0
+    points = []
     for key, groups in zip(keys, group_lists):
         torsions = [list(g.torsion) for g in groups]
         if not any(torsions):
             continue
-        found += 1
-        report.points.append(ScanPoint(
-            params={"class": list(key.flat)},
-            observed={
+        points.append({
+            "params": {"class": list(key.flat)},
+            "observed": {
                 "torsion_by_degree": {
                     str(d): t for d, t in enumerate(torsions) if t
                 },
                 "pointed_map_type": is_pointed_map_type(key.table()),
             },
-            conjectured=None,
-            verdict=CONSISTENT,
-        ))
-    report.summary["classes_scanned"] = len(keys)
-    report.summary["classes_with_torsion"] = found
-    return report.finish()
+            "conjectured": None,
+            "verdict": CONSISTENT,
+        })
+    return _report(
+        "torsion-hunt", {"size": size, "maxdeg": maxdeg}, points,
+        classes_scanned=len(keys), classes_with_torsion=len(points),
+    )

@@ -2,10 +2,10 @@
 
 Every tuple (x_0,...,x_d) whose left-normed suffix products are pairwise
 distinct contributes the simplex on that vertex set; a simplex is stored
-once, as its sorted vertex tuple.  Distributivity should make the family
-face-closed; this is verified after construction, and a missing face is
-inserted with a logged warning rather than silently, since its absence
-would point at a theory error.
+once, as its sorted vertex tuple.  The family is face-closed: by right
+distributivity, face i of a generating tuple generates the simplex minus its
+i-th vertex.  Closure is verified after construction, and a missing face
+raises FaceNotGenerated, since it can only come from a bug.
 
 Orientation follows the fixed total order on vertices: a generating tuple
 counts with the sign of the permutation sorting it, and tuples with a
@@ -16,18 +16,21 @@ of the shelf.
 
 from __future__ import annotations
 
-import logging
 from itertools import combinations, product
 
 from .chain import boundary_matrix
-from .errors import CapExceeded, ChainMapViolation, DegreeNegative, DegreeOutOfRange
+from .errors import (
+    CapExceeded,
+    ChainMapViolation,
+    DegreeNegative,
+    DegreeOutOfRange,
+    FaceNotGenerated,
+)
 from .intmat import SparseIntMatrix
 from .orbits import UnionFind
 from .snf import HomologyGroup, homology_from_boundaries
 from .tables import Shelf, suffix_products
 from .value import Value
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TUPLE_CAP = 1 << 22
 
@@ -92,17 +95,15 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
 
 
 def _close_faces(found):
-    """Verify face closure; insert and warn on any miss (see module doc)."""
+    """Raise FaceNotGenerated on the first face missing (see module doc)."""
     for d in range(len(found) - 1, 0, -1):
         lower = found[d - 1]
         for simplex in sorted(found[d]):
             for face in combinations(simplex, d):
                 if face not in lower:
-                    logger.warning(
-                        "face %s of simplex %s was not generated; inserting it",
-                        face, simplex,
+                    raise FaceNotGenerated(
+                        f"face {face} of simplex {simplex} was not generated"
                     )
-                    lower.add(face)
 
 
 def components(cx: ShelfComplex):

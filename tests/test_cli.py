@@ -63,6 +63,19 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{",                        # not UTF-8
+    b"[" * 200_000 + b"]" * 200_000,     # nested past the recursion limit
+    b'{"size": ' + b"9" * 5000 + b"}",   # past int's digit limit
+], ids=["not-utf8", "deeply-nested", "huge-integer"])
+def test_hostile_input_file_is_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data)
+    code, _, err = run(capsys, "validate", "--input", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_orbits_command(tmp_path, capsys):
     path = write(tmp_path, PAPER_DOC)
     code, out, _ = run(capsys, "orbits", "--input", path, "--no-timestamp")
@@ -756,6 +769,7 @@ EXIT_CODES = {
         "CapExceeded", "BoundExceeded",
     ], 3),
     "DDNotZero": 4,
+    "FaceNotGenerated": 4,
 }
 
 

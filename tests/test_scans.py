@@ -28,13 +28,12 @@ from shelfhom.tables import (
 def test_growth_small_sizes_consistent():
     for n in (1, 2):
         report = scan_growth(n, maxdeg=3)
-        assert report.summary["all_consistent"]
-        assert report.summary["inconsistent"] == 0
+        assert report["summary"]["all_consistent"]
+        assert report["summary"]["inconsistent"] == 0
 
 
 def test_growth_report_structure():
-    report = scan_growth(2, maxdeg=3)
-    doc = report.to_doc()
+    doc = scan_growth(2, maxdeg=3)
     assert doc["conjecture"] == "growth"
     assert all(
         p["verdict"] in ("consistent", "inconsistent", "not-computed")
@@ -51,7 +50,7 @@ def test_growth_size_guard():
 
 def test_pointed_map_shelves_size_zero_is_empty_and_negative_is_refused():
     assert pointed_map_shelves(0) == []
-    assert scan_example4(0).summary["points"] == 0
+    assert scan_example4(0)["summary"]["points"] == 0
     with pytest.raises(OutOfRange, match="carrier size -1 < 0"):
         pointed_map_shelves(-1)
 
@@ -90,19 +89,19 @@ def test_pointed_map_type_detection():
 
 def test_example4_proven_degree_one():
     report = scan_example4(4, maxdeg=1)
-    assert report.summary["all_consistent"]
-    assert all(p.params["degree"] == 1 for p in report.points)
+    assert report["summary"]["all_consistent"]
+    assert all(p["params"]["degree"] == 1 for p in report["points"])
 
 
 def test_boolean_grid_verdicts():
     report = scan_boolean(1, radius=1, maxdeg=2)
-    assert report.summary["points"] == 27
-    by_coeffs = {tuple(p.params["coefficients"]): p for p in report.points}
+    assert report["summary"]["points"] == 27
+    by_coeffs = {tuple(p["params"]["coefficients"]): p for p in report["points"]}
     zero = by_coeffs[(0, 0, 0)]
-    assert zero.observed["ranks"] == [1, 4, 8]
+    assert zero["observed"]["ranks"] == [1, 4, 8]
     ray = by_coeffs[(1, -1, -1)]
-    assert ray.observed["ranks"][0] == 1
-    assert ray.verdict == "consistent"
+    assert ray["observed"]["ranks"][0] == 1
+    assert ray["verdict"] == "consistent"
 
 
 def test_boolean_cap():
@@ -114,9 +113,9 @@ def test_hyperplane_probe_deterministic():
     ms = validate_multishelf(boolean_multishelf(1).ops[:3])
     a = scan_hyperplane(ms, samples=15, bound=2, maxdeg=1, seed=5)
     b = scan_hyperplane(ms, samples=15, bound=2, maxdeg=1, seed=5)
-    assert a.to_doc() == b.to_doc()
-    assert a.summary["generic_ranks"] is not None
-    assert 0.0 <= a.summary["exceptional_fraction"] <= 1.0
+    assert a == b
+    assert a["summary"]["generic_ranks"] is not None
+    assert 0.0 <= a["summary"]["exceptional_fraction"] <= 1.0
 
 
 def test_hyperplane_sample_cap():
@@ -224,29 +223,29 @@ def test_chunked_fan_out_matches_sequential(monkeypatch, scan):
     _ChunkRecordingPool.chunksizes = []
     monkeypatch.setattr(scans, "ProcessPoolExecutor", _ChunkRecordingPool)
     _pin(monkeypatch, {0, 1}, 2)
-    assert scan(2).to_doc() == scan(1).to_doc()
+    assert scan(2) == scan(1)
     [chunk] = _ChunkRecordingPool.chunksizes
     assert chunk > 1
 
 
 def test_torsion_hunt_small_sizes_empty():
-    assert torsion_hunt(1, 1).summary["classes_with_torsion"] == 0
+    assert torsion_hunt(1, 1)["summary"]["classes_with_torsion"] == 0
     report = torsion_hunt(2, 2)
-    assert report.summary["classes_with_torsion"] == 0
-    assert report.summary["classes_scanned"] == 6
+    assert report["summary"]["classes_with_torsion"] == 0
+    assert report["summary"]["classes_scanned"] == 6
 
 
 def test_torsion_hunt_points_flag_pointed_map():
     report = torsion_hunt(4, 1)
-    assert report.summary["classes_with_torsion"] >= 1
+    assert report["summary"]["classes_with_torsion"] >= 1
     # at least one find has the pointed-map shape, as in the cited examples
-    assert any(p.observed["pointed_map_type"] for p in report.points)
+    assert any(p["observed"]["pointed_map_type"] for p in report["points"])
 
 
 def test_jobs_fan_out_matches_sequential():
     seq = scan_growth(2, maxdeg=3, jobs=1)
     par = scan_growth(2, maxdeg=3, jobs=2)
-    assert seq.to_doc() == par.to_doc()
+    assert seq == par
 
 
 def test_growth_records_quotient_h1_comparison():
@@ -254,8 +253,8 @@ def test_growth_records_quotient_h1_comparison():
     # (non-injectivity of the induced map) has witnesses already at n = 3;
     # no class with n <= 4 realizes the "less" direction
     report = scan_growth(3, maxdeg=2)
-    cmp = report.summary["quotient_h1_comparison"]
+    cmp = report["summary"]["quotient_h1_comparison"]
     assert cmp["greater"] >= 1
     assert cmp["less"] == 0
     assert cmp["greater"] + cmp["equal"] + cmp["less"] == 48
-    assert "greater" in report.summary["quotient_h1_witnesses"]
+    assert "greater" in report["summary"]["quotient_h1_witnesses"]

@@ -48,3 +48,18 @@ def test_torsion_survey_size_3(monkeypatch, capsys):
         "size 2: 6 classes, 0 with torsion through degree 2\n"
         "size 3: 48 classes, 0 with torsion through degree 2\n"
     )
+
+
+def test_torsion_survey_size_4_prints_its_finds(monkeypatch, capsys):
+    out = run_script(monkeypatch, capsys, "torsion_survey.py",
+                     "--size", "4", "--maxdeg", "1")
+    assert out == (
+        "size 1: 1 classes, 0 with torsion through degree 1\n"
+        "size 2: 6 classes, 0 with torsion through degree 1\n"
+        "size 3: 48 classes, 0 with torsion through degree 1\n"
+        "size 4: 720 classes, 2 with torsion through degree 1\n"
+        "  table [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 1, 0, 0, 3]"
+        "  torsion {'1': [2]}  [pointed-map]\n"
+        "  table [0, 1, 3, 2, 0, 1, 3, 2, 1, 0, 2, 3, 1, 0, 2, 3]"
+        "  torsion {'1': [2, 2, 2, 2]}  [other]\n"
+    )

@@ -1,11 +1,9 @@
-import logging
-
 import pytest
 
 import oracles
 from shelfhom import snf
 from shelfhom.chain import homology_groups, preset_complex
-from shelfhom.errors import CapExceeded, DegreeOutOfRange
+from shelfhom.errors import CapExceeded, DegreeOutOfRange, FaceNotGenerated
 from shelfhom.orbits import left_orbits
 from shelfhom.simplicial import (
     ShelfComplex,
@@ -120,22 +118,21 @@ def test_component_count_equals_orbit_count(classes4, labelled_by_size):
         assert components(scx)[0] == left_orbits(shelf).count
 
 
-def test_face_closure_never_warns_on_small_shelves(classes4, caplog):
-    with caplog.at_level(logging.WARNING, logger="shelfhom.simplicial"):
-        for key in classes4:
-            build_shelf_complex(Shelf(key.table()), maxdim=3)
-    assert not caplog.records
+def test_face_closure_holds_on_small_shelves(classes4):
+    # a missing face would raise FaceNotGenerated
+    for key in classes4:
+        build_shelf_complex(Shelf(key.table()), maxdim=3)
 
 
-def test_missing_face_triggers_warning_and_insertion(caplog):
+def test_missing_face_raises_face_not_generated():
     # exercise the closure path directly on a synthetic gap
     from shelfhom.simplicial import _close_faces
 
     found = [{(0,), (1,)}, {(0, 1), (1, 2)}]
-    with caplog.at_level(logging.WARNING, logger="shelfhom.simplicial"):
+    with pytest.raises(FaceNotGenerated,
+                       match=r"^face \(2,\) of simplex \(1, 2\) was not generated$"):
         _close_faces(found)
-    assert (2,) in found[0]
-    assert caplog.records
+    assert found[0] == {(0,), (1,)}
 
 
 def test_degree_window_guard():
