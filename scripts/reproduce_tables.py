@@ -14,19 +14,18 @@ import argparse
 import time
 from collections import Counter
 
-from shelfhom import Shelf, enumerate_shelves, left_orbits, preset_homology
+from shelfhom import enumerate_shelves, left_orbits, preset_homology
 
 
 def profile_table(size, maxdeg):
     t0 = time.time()
-    keys = enumerate_shelves(size)
-    print(f"size {size}: {len(keys)} isomorphism classes "
+    shelves = enumerate_shelves(size)
+    print(f"size {size}: {len(shelves)} isomorphism classes "
           f"(enumerated in {time.time() - t0:.1f}s)")
     t0 = time.time()
     profiles = Counter()
     orbit_counts = {}
-    for key in keys:
-        shelf = Shelf(key.table())
+    for shelf in shelves:
         ranks = tuple(g.rank for g in preset_homology(shelf, "shelf", maxdeg))
         profiles[ranks] += 1
         orbit_counts.setdefault(ranks, left_orbits(shelf).count)

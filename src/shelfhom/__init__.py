@@ -1,6 +1,6 @@
 """Exact integer homology of finite shelves, racks, quandles, multi-shelves."""
 
-from .census import IsoClassKey, canonical_form, enumerate_shelf_tables, enumerate_shelves
+from .census import canonical_form, enumerate_shelf_tables, enumerate_shelves
 from .chain import (
     ChainComplex,
     F_chain_map,

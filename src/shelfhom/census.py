@@ -1,54 +1,26 @@
 """Enumeration of small shelves up to isomorphism.
 
 Canonical form is the lexicographic minimum of the row-major flattened table
-over all carrier permutations, so two tables have equal keys exactly when
-some relabelling transports one onto the other.  Enumeration backtracks over
-table entries in row-major order, checking every instance of the
-distributivity law as soon as its five lookups are determined.  The census
-runs the same recursion as orderly generation (Read 1978; McKay 1998), so
-each class's canonical table is the only one of its class to come out.
-The key and the census's prune share one comparator, which compares
-relabelled rows in order and stops at the first row that differs.
+over all carrier permutations, so two tables have the same canonical table
+exactly when some relabelling transports one onto the other.  Enumeration
+backtracks over table entries in row-major order, checking every instance
+of the distributivity law as soon as its five lookups are determined.  The
+census runs the same recursion as orderly generation (Read 1978; McKay
+1998), so each class's canonical table is the only one of its class to come
+out, and it stands for the class as a certified Shelf.  Canonical form and
+the census's prune share one comparator, which compares relabelled rows in
+order and stops at the first row that differs.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
 from itertools import permutations, product
-from math import isqrt
 
 from .errors import OutOfRange, PracticalSizeLimit
-from .tables import BinaryOpTable
-from .value import Value
+from .tables import BinaryOpTable, Shelf
 
 CANONICAL_SIZE_LIMIT = 8
 ENUMERATION_SIZE_LIMIT = 5
-
-
-@total_ordering
-class IsoClassKey(Value):
-    """Row-major flattening of the canonical (lex-min) table of a class;
-    keys sort by it."""
-
-    __slots__ = ("flat",)
-
-    def __init__(self, flat: tuple[int, ...]):
-        self._set(flat)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.flat < other.flat
-        return NotImplemented
-
-    @property
-    def size(self) -> int:
-        return isqrt(len(self.flat))
-
-    def table(self) -> BinaryOpTable:
-        n = self.size
-        return BinaryOpTable(
-            tuple(self.flat[i * n:(i + 1) * n] for i in range(n))
-        )
 
 
 def _relabellings(n: int):
@@ -70,7 +42,7 @@ def _smaller(t, perm, pinv, target, r: int) -> bool:
     return False
 
 
-def canonical_form(table: BinaryOpTable) -> IsoClassKey:
+def canonical_form(table: BinaryOpTable) -> BinaryOpTable:
     """Lexicographic minimum over all n! relabellings (guarded at n = 8)."""
     n = table.size
     if n > CANONICAL_SIZE_LIMIT:
@@ -82,7 +54,7 @@ def canonical_form(table: BinaryOpTable) -> IsoClassKey:
     for perm, pinv in _relabellings(n):
         if _smaller(t, perm, pinv, best, n):
             best = [[perm[t[px][py]] for py in pinv] for px in pinv]
-    return IsoClassKey(tuple(v for row in best for v in row))
+    return BinaryOpTable(tuple(tuple(row) for row in best))
 
 
 def enumerate_shelf_tables(n: int, canonical: bool = False):
@@ -167,11 +139,11 @@ def enumerate_shelf_tables(n: int, canonical: bool = False):
     return results
 
 
-def enumerate_shelves(n: int) -> list[IsoClassKey]:
-    """Isomorphism classes of shelves on n elements, sorted by key.
+def enumerate_shelves(n: int) -> list[Shelf]:
+    """Isomorphism classes of shelves on n elements, one canonical shelf each.
 
-    Orderly generation emits each class's canonical table once, and the
-    backtracker's lex order makes the keys ascending.
+    Orderly generation emits each class's canonical table once, after
+    checking every instance of the law, and the backtracker's lex order
+    makes their flattenings ascending.
     """
-    return [IsoClassKey(table.flat())
-            for table in enumerate_shelf_tables(n, canonical=True)]
+    return [Shelf(table) for table in enumerate_shelf_tables(n, canonical=True)]

@@ -181,14 +181,20 @@ class ChainComplex(Value):
 
 def check_memory_cap(size, maxdeg, cap):
     # n^(maxdeg+2) basis elements, and at least one per built degree, which
-    # bounds a 1-element carrier too
-    need = max(size ** (maxdeg + 2), maxdeg + 2)
-    if need > cap:
-        count = f"{size}^{maxdeg + 2}" if size > 1 else f"max({size}^{maxdeg + 2}, {maxdeg + 2})"
-        raise MemoryCapExceeded(
-            f"building d_0..d_{maxdeg} needs {count} = {need} "
-            f"<= cap, got cap {cap}; raise the cap to force the computation"
-        )
+    # bounds a 1-element carrier too.  Once 2^(maxdeg+2) > cap the power is
+    # refused unformed, as it can take minutes to form, and a count past
+    # 2^64 is shown as its power alone, as it can be too long to print.
+    count = f"{size}^{maxdeg + 2}" if size > 1 else f"max({size}^{maxdeg + 2}, {maxdeg + 2})"
+    if size < 2 or maxdeg + 2 <= cap.bit_length():
+        need = max(size ** (maxdeg + 2), maxdeg + 2)
+        if need <= cap:
+            return
+        if need.bit_length() <= 64:
+            count += f" = {need}"
+    raise MemoryCapExceeded(
+        f"building d_0..d_{maxdeg} needs {count} <= cap, got cap {cap}; "
+        "raise the cap to force the computation"
+    )
 
 
 def _check_dd(boundaries, label=""):

@@ -119,16 +119,6 @@ def _augmented_flag(args):
     return {"on": True, "off": False}.get(args.augmented)
 
 
-def _flags_doc(shelf) -> dict:
-    flags = classify(shelf)
-    return {
-        "spindle": flags.is_spindle,
-        "rack": flags.is_rack,
-        "left_connected": flags.is_left_connected,
-        "invertible": flags.is_rack,
-    }
-
-
 def _groups_doc(groups) -> list:
     return [{"degree": g.degree, "rank": g.rank, "torsion": list(g.torsion)}
             for g in groups]
@@ -137,7 +127,7 @@ def _groups_doc(groups) -> list:
 def _structure_key(structure) -> list:
     if isinstance(structure, Shelf):
         if structure.size <= CANONICAL_SIZE_LIMIT:
-            return list(canonical_form(structure.table).flat)
+            return list(canonical_form(structure.table).flat())
         return list(structure.table.flat())
     flat = []
     for op in structure.ops:
@@ -155,7 +145,7 @@ def cmd_validate(args):
         "operations": len(doc["ops"]),
     }
     if isinstance(structure, Shelf):
-        payload["flags"] = _flags_doc(structure)
+        payload["flags"] = classify(structure)
         payload["orbits"] = left_orbits(structure).count
     return payload
 
@@ -236,16 +226,12 @@ def cmd_simplicial(args):
 
 
 def cmd_enumerate(args):
-    keys = enumerate_shelves(args.size)
-    classes = []
-    for key in keys:
-        shelf = Shelf(key.table())
-        classes.append({
-            "key": list(key.flat),
-            "table": [list(row) for row in key.table().entries],
-            "orbits": left_orbits(shelf).count,
-            "flags": _flags_doc(shelf),
-        })
+    classes = [{
+        "key": list(shelf.table.flat()),
+        "table": [list(row) for row in shelf.table.entries],
+        "orbits": left_orbits(shelf).count,
+        "flags": classify(shelf),
+    } for shelf in enumerate_shelves(args.size)]
     return {"size": args.size, "count": len(classes), "classes": classes}
 
 

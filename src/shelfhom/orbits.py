@@ -98,16 +98,6 @@ def orbit_quotient(shelf: Shelf):
     return validate_shelf(quotient_table), pi
 
 
-class ShelfFlags(Value):
-    """is_rack: every right translation is a bijection (the report's
-    "rack" and "invertible" keys both read it)."""
-
-    __slots__ = ("is_spindle", "is_rack", "is_left_connected")
-
-    def __init__(self, is_spindle: bool, is_rack: bool, is_left_connected: bool):
-        self._set(is_spindle, is_rack, is_left_connected)
-
-
 def is_spindle(table: BinaryOpTable) -> bool:
     return all(table.entries[x][x] == x for x in range(table.size))
 
@@ -122,12 +112,12 @@ def is_invertible(table: BinaryOpTable) -> bool:
     return True
 
 
-def classify(shelf: Shelf) -> ShelfFlags:
-    return ShelfFlags(
-        is_spindle=is_spindle(shelf.table),
-        is_rack=is_invertible(shelf.table),
-        is_left_connected=left_orbits(shelf).count == 1,
-    )
+def classify(shelf: Shelf) -> dict:
+    """The report's flags; "rack" and "invertible" both say that every right
+    translation is a bijection."""
+    rack = is_invertible(shelf.table)
+    return {"spindle": is_spindle(shelf.table), "rack": rack,
+            "left_connected": left_orbits(shelf).count == 1, "invertible": rack}
 
 
 def has_left_absorbing_element(table: BinaryOpTable) -> bool:
@@ -138,7 +128,6 @@ def has_left_absorbing_element(table: BinaryOpTable) -> bool:
 
 __all__ = [
     "OrbitPartition",
-    "ShelfFlags",
     "UnionFind",
     "classify",
     "has_left_absorbing_element",

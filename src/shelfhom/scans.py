@@ -29,7 +29,7 @@ from .chain import preset_homology
 from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange, SpecPreconditionFailed
 from .families import boolean_multishelf, pointed_map
 from .orbits import left_orbits
-from .tables import BinaryOpTable, Shelf, validate_multishelf
+from .tables import BinaryOpTable, validate_multishelf
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -96,23 +96,23 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> dict:
     induced map on homology failing to be injective resp. surjective.
     """
     _check_class_scan("growth scan", size, maxdeg)
-    keys = enumerate_shelves(size)
-    rank_lists = _ranks([(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs)
+    shelves = enumerate_shelves(size)
+    rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
     start = max(size - 2, 0)
     points = []
     quotient_cmp = {"greater": 0, "equal": 0, "less": 0}
     witnesses = {}
-    for key, ranks in zip(keys, rank_lists):
+    for shelf, ranks in zip(shelves, rank_lists):
         for d in range(start, maxdeg):
             expected = size * ranks[d]
             points.append({
-                "params": {"class": list(key.flat), "degree": d},
+                "params": {"class": list(shelf.table.flat()), "degree": d},
                 "observed": {"rank": ranks[d], "rank_next": ranks[d + 1]},
                 "conjectured": {"rank_next": expected},
                 "verdict": CONSISTENT if ranks[d + 1] == expected else INCONSISTENT,
             })
         if maxdeg >= 1:
-            r = left_orbits(Shelf(key.table())).count
+            r = left_orbits(shelf).count
             quotient_h1 = (r - 1) * r
             side = (
                 "greater" if ranks[1] > quotient_h1
@@ -120,7 +120,7 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> dict:
                 else "equal"
             )
             quotient_cmp[side] += 1
-            witnesses.setdefault(side, list(key.flat))
+            witnesses.setdefault(side, list(shelf.table.flat()))
     extra = {}
     if maxdeg >= 1:
         extra = {"quotient_h1_comparison": quotient_cmp,
@@ -142,7 +142,7 @@ def pointed_map_shelves(size: int):
     # g(0) = 0 and g(x) != 0 elsewhere
     for g in product([0], *[range(1, size)] * (size - 1)):
         shelf = pointed_map(0, g)
-        out.setdefault(canonical_form(shelf.table), shelf)
+        out.setdefault(canonical_form(shelf.table).flat(), shelf)
     return [out[k] for k in sorted(out)]
 
 
@@ -301,27 +301,25 @@ def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> dict:
     known torsion examples.
     """
     _check_class_scan("torsion hunt", size, maxdeg)
-    keys = enumerate_shelves(size)
-    group_lists = _pool_map(
-        _groups, [(Shelf(k.table()), "shelf", maxdeg) for k in keys], jobs
-    )
+    shelves = enumerate_shelves(size)
+    group_lists = _pool_map(_groups, [(s, "shelf", maxdeg) for s in shelves], jobs)
     points = []
-    for key, groups in zip(keys, group_lists):
+    for shelf, groups in zip(shelves, group_lists):
         torsions = [list(g.torsion) for g in groups]
         if not any(torsions):
             continue
         points.append({
-            "params": {"class": list(key.flat)},
+            "params": {"class": list(shelf.table.flat())},
             "observed": {
                 "torsion_by_degree": {
                     str(d): t for d, t in enumerate(torsions) if t
                 },
-                "pointed_map_type": is_pointed_map_type(key.table()),
+                "pointed_map_type": is_pointed_map_type(shelf.table),
             },
             "conjectured": None,
             "verdict": CONSISTENT,
         })
     return _report(
         "torsion-hunt", {"size": size, "maxdeg": maxdeg}, points,
-        classes_scanned=len(keys), classes_with_torsion=len(points),
+        classes_scanned=len(shelves), classes_with_torsion=len(points),
     )

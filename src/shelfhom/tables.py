@@ -19,9 +19,14 @@ from .errors import (
     MutualDistributivityViolation,
     NotInvertible,
     OutOfRange,
+    PracticalSizeLimit,
     SizeMismatch,
 )
 from .value import Value
+
+# law instances k^2 * n^3 one validation may check; n = 406 is the largest
+# carrier under it with one operation
+_LAW_INSTANCE_LIMIT = 1 << 26
 
 
 class BinaryOpTable(Value):
@@ -96,8 +101,15 @@ class MultiShelf(Value):
 
 def _first_violation(ops):
     """The lexicographically first (k, l, x, y, z, lhs, rhs) with
-    lhs = (x *_k y) *_l z != (x *_l z) *_k (y *_l z) = rhs, or None."""
+    lhs = (x *_k y) *_l z != (x *_l z) *_k (y *_l z) = rhs, or None.
+    Refuses more than _LAW_INSTANCE_LIMIT instances before checking any."""
     n = ops[0].size
+    count = len(ops) ** 2 * n ** 3
+    if count > _LAW_INSTANCE_LIMIT:
+        raise PracticalSizeLimit(
+            f"the distributivity check has {len(ops)}^2 * {n}^3 = {count} "
+            f"law instances, over the guard {_LAW_INSTANCE_LIMIT}"
+        )
     for k, tk in enumerate(ops):
         ek = tk.entries
         for l, tl in enumerate(ops):

@@ -69,15 +69,15 @@ def classes_by_size(classes3, classes4):
 def profiles4(classes4):
     """Free-rank profiles in degrees 0..3 for every 4-element class."""
     out = {}
-    for key in classes4:
-        out[key.flat] = tuple(shelf_ranks(Shelf(key.table()), 3))
+    for shelf in classes4:
+        out[shelf.table.flat()] = tuple(shelf_ranks(shelf, 3))
     return out
 
 
 def test_criterion_01_two_element_classification():
     with criterion(1, "two-element classification"):
-        keys = enumerate_shelves(2)
-        assert len(keys) == 6
+        shelves = enumerate_shelves(2)
+        assert len(shelves) == 6
         named = {
             "constant-left": const_left(f=(0, 0)),
             "identity-product": validate_shelf(identity_op(2)),
@@ -88,17 +88,16 @@ def test_criterion_01_two_element_classification():
         }
         by_key = {canonical_form(s.table): name for name, s in named.items()}
         assert len(by_key) == 6
-        assert set(by_key) == set(keys)
+        assert set(by_key) == {s.table for s in shelves}
 
 
 def test_criterion_02_h0_counts_left_orbits(classes_by_size):
     with criterion(2, "H0 rank equals left orbits minus one"):
         for n in (1, 2, 3, 4):
-            for key in classes_by_size[n]:
-                shelf = Shelf(key.table())
+            for shelf in classes_by_size[n]:
                 group = preset_homology(shelf, "shelf", 0)[0]
-                assert group.rank == left_orbits(shelf).count - 1, key
-                assert group.torsion == (), key
+                assert group.rank == left_orbits(shelf).count - 1, shelf
+                assert group.torsion == (), shelf
 
 
 def test_criterion_03_chain_complex_laws(labelled_by_size):
@@ -173,9 +172,9 @@ def test_criterion_04_three_element_tables(classes3):
         }
         allowed.add(exceptional)
         seen_exceptional = False
-        for key in classes3:
-            profile = tuple(shelf_ranks(Shelf(key.table()), 4))
-            assert profile in allowed, (key, profile)
+        for shelf in classes3:
+            profile = tuple(shelf_ranks(shelf, 4))
+            assert profile in allowed, (shelf, profile)
             if profile == exceptional:
                 seen_exceptional = True
         assert seen_exceptional
@@ -211,15 +210,14 @@ def test_criterion_05_four_element_tables(profiles4):
 def test_criterion_06_vanishing(classes_by_size):
     with criterion(6, "vanishing for racks and absorbing shelves"):
         for n in (1, 2, 3, 4):
-            for key in classes_by_size[n]:
-                shelf = Shelf(key.table())
+            for shelf in classes_by_size[n]:
                 if not (
-                    classify(shelf).is_rack
+                    classify(shelf)["rack"]
                     or has_left_absorbing_element(shelf.table)
                 ):
                     continue
                 groups = preset_homology(shelf, "shelf", 4)
-                assert all(g.is_trivial() for g in groups), key
+                assert all(g.is_trivial() for g in groups), shelf
 
 
 def test_criterion_07_right_trivial_formula():

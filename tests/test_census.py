@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from shelfhom.census import (
-    IsoClassKey,
-    canonical_form,
-    enumerate_shelf_tables,
-    enumerate_shelves,
-)
+from shelfhom.census import canonical_form, enumerate_shelf_tables, enumerate_shelves
 from shelfhom.errors import PracticalSizeLimit
 from shelfhom.families import const_left, intersection_shelf, subtraction_shelf
 from shelfhom.orbits import classify
@@ -46,9 +41,9 @@ def test_canonical_form_size_guard():
 
 
 def test_key_table_round_trip():
-    key = canonical_form(identity_op(3))
-    assert key.size == 3
-    assert canonical_form(key.table()) == key
+    canon = canonical_form(identity_op(3))
+    assert canon.size == 3
+    assert canonical_form(canon) == canon
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,12 +86,12 @@ def test_canonical_form_is_the_lex_min_relabelling(case):
         oracles.relabel_flat(table.flat(), n, perm)
         for perm in permutations(range(n))
     )
-    assert canonical_form(table).flat == expected
+    assert canonical_form(table).flat() == expected
 
 
 def test_two_element_shelves_is_the_paper_list():
-    keys = enumerate_shelves(2)
-    assert len(keys) == 6
+    shelves = enumerate_shelves(2)
+    assert len(shelves) == 6
     named = {
         "constant-left": const_left(f=(0, 0)).table,
         "identity-product": validate_shelf(identity_op(2)).table,
@@ -105,12 +100,12 @@ def test_two_element_shelves_is_the_paper_list():
         "meet": intersection_shelf(1, (0, 1)).table,
         "subtract": subtraction_shelf(1, (0, 1)).table,
     }
-    assert {canonical_form(t) for t in named.values()} == set(keys)
+    assert {canonical_form(t) for t in named.values()} == {s.table for s in shelves}
 
 
 def test_one_element_enumeration():
     assert len(enumerate_shelves(1)) == 1
-    assert enumerate_shelves(1)[0] == IsoClassKey((0,))
+    assert enumerate_shelves(1)[0] == Shelf(BinaryOpTable(((0,),)))
 
 
 def test_enumeration_size_guard():
@@ -137,25 +132,26 @@ def test_orderly_census_is_canonical_and_complete(
     # Rack and quandle counts are OEIS A181769 and A181771.  The orbit sum
     # n!/|Aut| over the classes recounts the labelled tables, so a class the
     # prune dropped shows as a shortfall.
-    keys = request.getfixturevalue(f"classes{n}")
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert all(canonical_form(key.table()) == key for key in keys)
+    shelves = request.getfixturevalue(f"classes{n}")
+    flats = [s.table.flat() for s in shelves]
+    assert all(a < b for a, b in zip(flats, flats[1:]))
+    assert all(canonical_form(s.table) == s.table for s in shelves)
     perms = list(permutations(range(n)))
     orbit_sum = 0
-    for key in keys:
-        aut = sum(oracles.relabel_flat(key.flat, n, p) == key.flat for p in perms)
+    for flat in flats:
+        aut = sum(oracles.relabel_flat(flat, n, p) == flat for p in perms)
         orbit_sum += factorial(n) // aut
     assert orbit_sum == labelled
-    flags = [classify(Shelf(key.table())) for key in keys]
-    assert sum(f.is_rack for f in flags) == racks
-    assert sum(f.is_rack and f.is_spindle for f in flags) == quandles
+    flags = [classify(s) for s in shelves]
+    assert sum(f["rack"] for f in flags) == racks
+    assert sum(f["rack"] and f["spindle"] for f in flags) == quandles
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_classes_match_orbit_partition_oracle(n, labelled_by_size):
     flats = [t.flat() for t in labelled_by_size[n]]
     reps = oracles.iso_classes_by_orbit(flats, n)
-    assert [k.flat for k in enumerate_shelves(n)] == reps
+    assert [s.table.flat() for s in enumerate_shelves(n)] == reps
 
 
 def test_every_enumerated_table_is_a_shelf(labelled_by_size):

@@ -196,6 +196,10 @@ def test_dd_check_fires_on_a_corrupted_entry(monkeypatch):
 def test_build_complex_memory_cap():
     with pytest.raises(MemoryCapExceeded):
         build_complex(EXCEPTIONAL3, (1,), 3, cap=10)
+    # under a 1 325-digit cap, 10^4400 has too many digits to print
+    ten = MultiShelf((right_trivial_op(10),))
+    with pytest.raises(MemoryCapExceeded, match=r"needs 10\^4400 <= cap, got cap \d+;"):
+        build_complex(ten, (1,), 4398, cap=2 ** 4400 - 1)
 
 
 def test_boolean_zero_differential_complex():
@@ -569,8 +573,8 @@ def test_rack_and_quandle_groups_follow_the_inner_group(classes3, classes4):
     from shelfhom.orbits import is_invertible, is_spindle
 
     classes = enumerate_shelves(1) + enumerate_shelves(2) + classes3 + classes4
-    cases = [(key.table(), 3 if key.size <= 3 else 2) for key in classes
-             if is_invertible(key.table())]
+    cases = [(s.table, 3 if s.size <= 3 else 2) for s in classes
+             if is_invertible(s.table)]
     assert len(cases) == 1 + 2 + 6 + 19  # OEIS A181769
     for n, maxdeg in ((3, 3), (5, 2), (7, 2)):
         cases.append((BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n), maxdeg))

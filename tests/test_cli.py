@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -159,6 +160,41 @@ def test_homology_cap_counts_degrees_of_a_one_element_carrier(tmp_path, capsys, 
     code, _, _ = run(capsys, "homology", "--input", path, "--kind", kind,
                      "--maxdeg", "3", "--cap", "6", "--no-timestamp")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--maxdeg", "9100"],
+    ["homology", "--kind", "quandle", "--maxdeg", "9100"],
+    ["torsion-hunt", "--size", "3", "--maxdeg", "9100"],
+    ["scan", "--which", "growth", "--size", "2", "--maxdeg", "20000"],
+    ["homology", "--maxdeg", "100000000"],
+], ids=["homology-shelf", "homology-quandle", "torsion-hunt", "scan-growth",
+        "homology-1e8"])
+def test_a_degree_too_large_to_form_or_print_is_exit_3(tmp_path, capsys, argv):
+    # 3^9103 has over 4 300 digits, and 3^100000003 takes minutes to form
+    if argv[0] == "homology":
+        argv = [*argv, "--input", write(tmp_path, RACK_DOC)]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 10
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "MemoryCapExceeded"
+    assert "Traceback" not in err
+
+
+def test_validate_refuses_a_carrier_past_the_law_instance_guard(tmp_path, capsys):
+    # x*y = y on 500 elements: 500^3 law instances, about 12 s to check
+    n = 500
+    path = write(tmp_path, {"size": n, "ops": [[list(range(n))] * n]})
+    start = time.monotonic()
+    code, out, err = run(capsys, "validate", "--input", path)
+    assert time.monotonic() - start < 10
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "PracticalSizeLimit",
+        "message": "the distributivity check has 1^2 * 500^3 = 125000000 "
+                   "law instances, over the guard 67108864",
+    }
 
 
 # The R_3 quotient boundaries d_0..d_3 exported by `homology --kind quandle
@@ -632,6 +668,14 @@ PINNED_REPORTS = {
                         "c07398c4a46663ec597d535002c883d00796b2c6a7c9f1bbbc474e270212084c"),
     "torsion-hunt": (["torsion-hunt", "--size", "3"], None,
                      "c8132777e173d68ef2e3825ab79e58fb00c5c65f556d470b2a10b4bb7e8703d5"),
+    "torsion-hunt-4": (["torsion-hunt", "--size", "4", "--maxdeg", "1"], None,
+                       "778fdba869dc6e601153340f6bda3a505faf3a4539af92978aac43638b4f803e"),
+    "scan-example4-4": (["scan", "--which", "example4", "--size", "4"], None,
+                        "876b370574063be62d735c5b24d7017cae341e7f6daff808e5e7495b5a3bf8ce"),
+    "enumerate-3": (["enumerate", "--size", "3"], None,
+                    "1a00cdec4d4a62fda78ea3ccf75782eb38d431b190c3b4086cb0ad149dfe2cad"),
+    "enumerate-4": (["enumerate", "--size", "4"], None,
+                    "a1c77896a327dc33dba44063a79399e601861971739afe8746c7327523c1d6db"),
     "orbits": (["orbits"], PAPER_DOC,
                "63c89b76c53997e0312cb4821fb67dec4fc8f4ab889e1ea3910a8ca727631866"),
     "validate-shelf": (["validate"], PAPER_DOC,

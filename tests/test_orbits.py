@@ -76,8 +76,8 @@ def test_orbit_quotient_of_exceptional_three_element_shelf():
 
 def test_classify_dihedral():
     flags = classify(shelf_mod(3, lambda x, y: (2 * y - x) % 3))
-    assert flags.is_spindle and flags.is_rack
-    assert flags.is_left_connected
+    assert flags == {"spindle": True, "rack": True, "left_connected": True,
+                     "invertible": True}
 
 
 def test_classify_right_trivial():
@@ -85,16 +85,14 @@ def test_classify_right_trivial():
     # n >= 2 (it cannot be: its homology is nonzero, and invertibility would
     # force vanishing)
     flags = classify(validate_shelf(right_trivial_op(3)))
-    assert flags.is_spindle
-    assert not flags.is_rack
-    assert not flags.is_left_connected
+    assert flags == {"spindle": True, "rack": False, "left_connected": False,
+                     "invertible": False}
 
 
 def test_classify_constant_left():
     flags = classify(shelf_mod(3, lambda x, y: 0))
-    assert not flags.is_spindle
-    assert not flags.is_rack
-    assert flags.is_left_connected
+    assert flags == {"spindle": False, "rack": False, "left_connected": True,
+                     "invertible": False}
 
 
 def test_absorbing_element_detection():

@@ -112,16 +112,15 @@ def test_boundary_matrix_signs():
 
 def test_component_count_equals_orbit_count(classes4, labelled_by_size):
     small = [Shelf(t) for tables in labelled_by_size.values() for t in tables]
-    big = [Shelf(k.table()) for k in classes4]
-    for shelf in small + big:
+    for shelf in small + classes4:
         scx = build_shelf_complex(shelf, maxdim=1)
         assert components(scx)[0] == left_orbits(shelf).count
 
 
 def test_face_closure_holds_on_small_shelves(classes4):
     # a missing face would raise FaceNotGenerated
-    for key in classes4:
-        build_shelf_complex(Shelf(key.table()), maxdim=3)
+    for shelf in classes4:
+        build_shelf_complex(shelf, maxdim=3)
 
 
 def test_missing_face_raises_face_not_generated():
@@ -158,7 +157,7 @@ def test_tuple_cap():
 
 def test_groups_match_the_dense_oracle(classes4, labelled_by_size):
     shelves = [Shelf(t) for t in labelled_by_size[3]]
-    shelves += [Shelf(k.table()) for k in classes4]
+    shelves += classes4
     for shelf in shelves:
         for maxdim in (shelf.size - 1, 1):
             scx = build_shelf_complex(shelf, maxdim)

@@ -294,7 +294,7 @@ def test_factors_invariant_under_unimodular_operations_on_a_boundary():
 def test_walk_factor_digests_are_pinned(structures, kind, maxdeg, digest,
                                         monkeypatch, request):
     if structures == "classes4":
-        shelves = [Shelf(k.table()) for k in request.getfixturevalue("classes4")]
+        shelves = request.getfixturevalue("classes4")
     else:
         n = int(structures[1:])
         shelves = [Shelf(BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n))]

@@ -1,4 +1,4 @@
-"""The value types: repr, ==, hash, ordering, immutability, pickling and
+"""The value types: repr, ==, hash, immutability, pickling and
 constructor refusals, pinned as the dataclass versions of these types had
 them."""
 
@@ -6,11 +6,10 @@ import pickle
 
 import pytest
 
-from shelfhom.census import IsoClassKey
 from shelfhom.chain import ChainComplex
 from shelfhom.errors import OutOfRange, SizeMismatch
 from shelfhom.intmat import SparseIntMatrix
-from shelfhom.orbits import OrbitPartition, ShelfFlags
+from shelfhom.orbits import OrbitPartition
 from shelfhom.simplicial import ShelfComplex
 from shelfhom.snf import HomologyGroup, SmithForm
 from shelfhom.tables import BinaryOpTable, MultiShelf, Shelf
@@ -36,10 +35,6 @@ CASES = {
         "MultiShelf(ops=(BinaryOpTable(entries=((0, 0), (1, 1))), "
         "BinaryOpTable(entries=((0, 0), (1, 1)))))",
     ),
-    "IsoClassKey": (
-        lambda: IsoClassKey((0, 0, 1, 1)), lambda: IsoClassKey((0,)), ("flat",),
-        "IsoClassKey(flat=(0, 0, 1, 1))",
-    ),
     "ChainComplex": (
         lambda: ChainComplex(2, [_table()], [1], True, [
             SparseIntMatrix(1, 2, {(0, 0): 1}), SparseIntMatrix(2, 4, {})]),
@@ -50,12 +45,6 @@ CASES = {
         lambda: OrbitPartition(2, ((0,), (1,))), lambda: OrbitPartition(2, ((0, 1),)),
         ("size", "blocks"),
         "OrbitPartition(size=2, blocks=((0,), (1,)))",
-    ),
-    "ShelfFlags": (
-        lambda: ShelfFlags(is_spindle=True, is_rack=True, is_left_connected=False),
-        lambda: ShelfFlags(True, True, True),
-        ("is_spindle", "is_rack", "is_left_connected"),
-        "ShelfFlags(is_spindle=True, is_rack=True, is_left_connected=False)",
     ),
     "ShelfComplex": (
         lambda: ShelfComplex(2, 1, (((0,), (1,)), ((0, 1),))),
@@ -110,13 +99,6 @@ def test_value_types_keep_their_contract():
     assert part == OrbitPartition(3, ((0, 2), (1,)))
     assert repr(part) == "OrbitPartition(size=3, blocks=((0, 2), (1,)))"
     assert part.count == 2 and part.representatives == (0, 1)
-
-    # IsoClassKey sorts by flat
-    keys = [IsoClassKey((1, 0)), IsoClassKey((0, 1, 1)), IsoClassKey((0, 1))]
-    assert [k.flat for k in sorted(keys)] == [(0, 1), (0, 1, 1), (1, 0)]
-    small, large = IsoClassKey((0, 1)), IsoClassKey((1, 0))
-    assert small < large and small <= large and large > small and large >= small
-    assert not small > large and small <= IsoClassKey((0, 1))
 
     # defaults and keyword construction
     assert HomologyGroup(degree=2, rank=1) == HomologyGroup(2, 1, ())
