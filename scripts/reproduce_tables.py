@@ -28,7 +28,7 @@ def profile_table(size, maxdeg):
     for shelf in shelves:
         ranks = tuple(g.rank for g in preset_homology(shelf, "shelf", maxdeg))
         profiles[ranks] += 1
-        orbit_counts.setdefault(ranks, left_orbits(shelf).count)
+        orbit_counts.setdefault(ranks, len(left_orbits(shelf)))
     print(f"homology through degree {maxdeg} in {time.time() - t0:.1f}s")
     width = max((len(str(list(p))) for p in profiles), default=0)
     for ranks, count in sorted(profiles.items()):

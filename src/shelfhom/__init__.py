@@ -27,11 +27,11 @@ from .families import (
     subtraction_shelf,
 )
 from .intmat import SparseIntMatrix
-from .orbits import OrbitPartition, classify, left_orbits, orbit_quotient
+from .orbits import classify, left_orbits, orbit_quotient
 from .simplicial import (
-    ShelfComplex,
     build_shelf_complex,
     components,
+    maximal_simplices,
     simplicial_groups,
     simplicial_projection_map,
 )

@@ -21,7 +21,7 @@ from .chain import DEFAULT_MEMORY_CAP, PRESETS, as_multishelf, homology_groups, 
 from .io import dump_report, finish_report, load_structure, structure_to_doc
 from .orbits import classify, left_orbits, orbit_quotient
 from .scans import scan_boolean, scan_example4, scan_growth, scan_hyperplane, torsion_hunt
-from .simplicial import build_shelf_complex, components, simplicial_groups
+from .simplicial import build_shelf_complex, components, maximal_simplices, simplicial_groups
 from .tables import MultiShelf, Shelf
 
 
@@ -146,19 +146,19 @@ def cmd_validate(args):
     }
     if isinstance(structure, Shelf):
         payload["flags"] = classify(structure)
-        payload["orbits"] = left_orbits(structure).count
+        payload["orbits"] = len(left_orbits(structure))
     return payload
 
 
 def cmd_orbits(args):
     shelf = _need_shelf(args)
-    part = left_orbits(shelf)
+    blocks = left_orbits(shelf)
     quotient, pi = orbit_quotient(shelf)
     return {
         "size": shelf.size,
-        "orbits": part.count,
-        "blocks": [list(b) for b in part.blocks],
-        "representatives": list(part.representatives),
+        "orbits": len(blocks),
+        "blocks": [list(b) for b in blocks],
+        "representatives": [b[0] for b in blocks],
         "quotient_map": list(pi),
         "quotient": structure_to_doc(quotient),
     }
@@ -212,16 +212,16 @@ def cmd_homology(args):
 
 def cmd_simplicial(args):
     shelf = _need_shelf(args)
-    cx = build_shelf_complex(shelf, args.maxdeg)
-    count, labels = components(cx)
+    simplices = build_shelf_complex(shelf, args.maxdeg)
+    count, labels = components(simplices)
     return {
         "size": shelf.size,
-        "maxdim": cx.maxdim,
-        "simplex_counts": [cx.count(d) for d in range(cx.maxdim + 1)],
-        "maximal_simplices": [list(s) for s in cx.maximal_simplices()],
+        "maxdim": len(simplices) - 1,
+        "simplex_counts": [len(layer) for layer in simplices],
+        "maximal_simplices": [list(s) for s in maximal_simplices(simplices)],
         "components": count,
         "component_labels": list(labels),
-        "groups": _groups_doc(simplicial_groups(cx)),
+        "groups": _groups_doc(simplicial_groups(simplices)),
     }
 
 
@@ -229,7 +229,7 @@ def cmd_enumerate(args):
     classes = [{
         "key": list(shelf.table.flat()),
         "table": [list(row) for row in shelf.table.entries],
-        "orbits": left_orbits(shelf).count,
+        "orbits": len(left_orbits(shelf)),
         "flags": classify(shelf),
     } for shelf in enumerate_shelves(args.size)]
     return {"size": args.size, "count": len(classes), "classes": classes}

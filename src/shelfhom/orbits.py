@@ -2,14 +2,14 @@
 
 The left orbits are the classes of the smallest equivalence relation with
 x ~ y*x for all x, y; they are computed by union-find closure over those
-pairs.  Racks are left connected, and for x*y = g(y) the orbits biject with
-the image of g.
+pairs.  ``left_orbits`` returns the orbits themselves: a tuple of sorted
+blocks ordered by least member, so their count is its length.  Racks are
+left connected, and for x*y = g(y) the orbits biject with the image of g.
 """
 
 from __future__ import annotations
 
 from .tables import BinaryOpTable, Shelf, right_trivial_op, validate_shelf
-from .value import Value
 
 
 class UnionFind:
@@ -39,36 +39,16 @@ class UnionFind:
         return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-class OrbitPartition(Value):
-    """Disjoint blocks covering {0..n-1}, ordered by smallest member."""
-
-    __slots__ = ("size", "blocks", "_block_index")
-
-    def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
-        index = {x: b for b, members in enumerate(blocks) for x in members}
-        self._set(size, blocks, index)
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(b[0] for b in self.blocks)
-
-    def block_of(self, x: int) -> int:
-        return self._block_index[x]
-
-
-def left_orbits(shelf: Shelf) -> OrbitPartition:
-    """Union-find closure over the pairs (x, y*x)."""
+def left_orbits(shelf: Shelf) -> tuple[tuple[int, ...], ...]:
+    """The orbits as sorted blocks ordered by least member: union-find
+    closure over the pairs (x, y*x)."""
     n = shelf.size
     t = shelf.table.entries
     uf = UnionFind(n)
     for x in range(n):
         for y in range(n):
             uf.union(x, t[y][x])
-    return OrbitPartition(n, tuple(uf.blocks()))
+    return tuple(uf.blocks())
 
 
 def orbit_quotient(shelf: Shelf):
@@ -78,12 +58,13 @@ def orbit_quotient(shelf: Shelf):
     index.  The induced product is always [x]*[y] = [y]; both the
     homomorphism property and that shape are re-checked here.
     """
-    part = left_orbits(shelf)
+    blocks = left_orbits(shelf)
     n = shelf.size
     t = shelf.table.entries
-    pi = tuple(part.block_of(x) for x in range(n))
-    r = part.count
-    reps = part.representatives
+    label = {x: b for b, members in enumerate(blocks) for x in members}
+    pi = tuple(label[x] for x in range(n))
+    r = len(blocks)
+    reps = [b[0] for b in blocks]
     q_rows = [[pi[t[reps[a]][reps[b]]] for b in range(r)] for a in range(r)]
     quotient_table = BinaryOpTable.from_rows(q_rows)
     # internal consistency: pi must be a homomorphism onto the quotient
@@ -117,7 +98,7 @@ def classify(shelf: Shelf) -> dict:
     translation is a bijection."""
     rack = is_invertible(shelf.table)
     return {"spindle": is_spindle(shelf.table), "rack": rack,
-            "left_connected": left_orbits(shelf).count == 1, "invertible": rack}
+            "left_connected": len(left_orbits(shelf)) == 1, "invertible": rack}
 
 
 def has_left_absorbing_element(table: BinaryOpTable) -> bool:
@@ -127,7 +108,6 @@ def has_left_absorbing_element(table: BinaryOpTable) -> bool:
 
 
 __all__ = [
-    "OrbitPartition",
     "UnionFind",
     "classify",
     "has_left_absorbing_element",

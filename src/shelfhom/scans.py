@@ -112,7 +112,7 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> dict:
                 "verdict": CONSISTENT if ranks[d + 1] == expected else INCONSISTENT,
             })
         if maxdeg >= 1:
-            r = left_orbits(shelf).count
+            r = len(left_orbits(shelf))
             quotient_h1 = (r - 1) * r
             side = (
                 "greater" if ranks[1] > quotient_h1
@@ -169,7 +169,7 @@ def scan_example4(size: int, maxdeg: int = 3, jobs: int = 1) -> dict:
     rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
     points = []
     for shelf, ranks in zip(shelves, rank_lists):
-        r = left_orbits(shelf).count
+        r = len(left_orbits(shelf))
         for d in range(1, maxdeg + 1):
             expected = size ** (d - 1) * (2 + (size + 1) * (r - 2))
             points.append({

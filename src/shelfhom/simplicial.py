@@ -2,7 +2,10 @@
 
 Every tuple (x_0,...,x_d) whose left-normed suffix products are pairwise
 distinct contributes the simplex on that vertex set; a simplex is stored
-once, as its sorted vertex tuple.  The family is face-closed: by right
+once, as its sorted vertex tuple.  The complex is that family itself: one
+ascending tuple of simplices per dimension 0..maxdim.  So maxdim is its
+length minus one, and, as every x generates the vertex (x,), the carrier
+size is the length of its first tuple.  The family is face-closed: by right
 distributivity, face i of a generating tuple generates the simplex minus its
 i-th vertex.  Closure is verified after construction, and a missing face
 raises FaceNotGenerated, since it can only come from a bug.
@@ -30,35 +33,14 @@ from .intmat import SparseIntMatrix
 from .orbits import UnionFind
 from .snf import HomologyGroup, homology_from_boundaries
 from .tables import Shelf, suffix_products
-from .value import Value
 
 DEFAULT_TUPLE_CAP = 1 << 22
 
 
-class ShelfComplex(Value):
-    """Simplices per dimension, each a sorted tuple of vertices."""
-
-    __slots__ = ("size", "maxdim", "simplices")
-
-    def __init__(self, size: int, maxdim: int,
-                 simplices: tuple[tuple[tuple[int, ...], ...], ...]):
-        self._set(size, maxdim, simplices)
-
-    def count(self, dim: int) -> int:
-        if not 0 <= dim <= self.maxdim:
-            return 0
-        return len(self.simplices[dim])
-
-    def maximal_simplices(self) -> list[tuple[int, ...]]:
-        """Simplices that are not a face of any stored larger simplex."""
-        stored = [s for simplices in self.simplices for s in simplices]
-        faces = {f for s in stored for k in range(1, len(s)) for f in combinations(s, k)}
-        return sorted((s for s in stored if s not in faces), key=lambda s: (len(s), s))
-
-
 def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
-                        cap: int = DEFAULT_TUPLE_CAP) -> ShelfComplex:
-    """Collect the distinct-suffix-product simplices up to maxdim.
+                        cap: int = DEFAULT_TUPLE_CAP) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The distinct-suffix-product simplices up to maxdim: one ascending
+    tuple of sorted vertex tuples per dimension 0..maxdim.
 
     maxdim defaults to n - 1 (a simplex on n vertices cannot be larger, and
     generating tuples longer than n always repeat a product), so only
@@ -87,11 +69,7 @@ def build_shelf_complex(shelf: Shelf, maxdim: int | None = None,
             if len(set(verts)) == d + 1:
                 bucket.add(tuple(sorted(verts)))
     _close_faces(found)
-    return ShelfComplex(
-        size=n,
-        maxdim=maxdim,
-        simplices=tuple(tuple(sorted(bucket)) for bucket in found),
-    )
+    return tuple(tuple(sorted(bucket)) for bucket in found)
 
 
 def _close_faces(found):
@@ -106,30 +84,37 @@ def _close_faces(found):
                     )
 
 
-def components(cx: ShelfComplex):
+def maximal_simplices(simplices) -> list[tuple[int, ...]]:
+    """Simplices that are not a face of any stored larger simplex."""
+    stored = [s for layer in simplices for s in layer]
+    faces = {f for s in stored for k in range(1, len(s)) for f in combinations(s, k)}
+    return sorted((s for s in stored if s not in faces), key=lambda s: (len(s), s))
+
+
+def components(simplices):
     """Connected components of the 1-skeleton: (count, labels)."""
-    uf = UnionFind(cx.size)
-    if cx.maxdim >= 1:
-        for a, b in cx.simplices[1]:
-            uf.union(a, b)
+    n = len(simplices[0])
+    uf = UnionFind(n)
+    for a, b in (simplices[1] if len(simplices) > 1 else ()):
+        uf.union(a, b)
     roots = {}
     labels = []
-    for x in range(cx.size):
+    for x in range(n):
         r = uf.find(x)
         labels.append(roots.setdefault(r, len(roots)))
     return len(roots), tuple(labels)
 
 
-def simplicial_boundary_matrix(cx: ShelfComplex, degree: int) -> SparseIntMatrix:
+def simplicial_boundary_matrix(simplices, degree: int) -> SparseIntMatrix:
     """Oriented boundary from degree-d chains to (d-1)-chains."""
-    if not 0 <= degree <= cx.maxdim:
+    if not 0 <= degree < len(simplices):
         raise DegreeOutOfRange(
-            f"degree {degree} outside the built range 0..{cx.maxdim}"
+            f"degree {degree} outside the built range 0..{len(simplices) - 1}"
         )
-    cols = cx.simplices[degree]
+    cols = simplices[degree]
     if degree == 0:
         return SparseIntMatrix(0, len(cols), {})
-    rows = {s: i for i, s in enumerate(cx.simplices[degree - 1])}
+    rows = {s: i for i, s in enumerate(simplices[degree - 1])}
     data = {}
     for j, simplex in enumerate(cols):
         for i in range(degree + 1):
@@ -138,13 +123,14 @@ def simplicial_boundary_matrix(cx: ShelfComplex, degree: int) -> SparseIntMatrix
     return SparseIntMatrix._raw(len(rows), len(cols), data)
 
 
-def simplicial_groups(cx: ShelfComplex) -> list[HomologyGroup]:
+def simplicial_groups(simplices) -> list[HomologyGroup]:
     """Unreduced simplicial homology H_0..H_{maxdim-1}, and H_maxdim too
-    when maxdim >= n - 1: then there genuinely are no higher simplices, so
+    when maxdim >= n - 1, that is when there are at least as many
+    dimensions as vertices: then there genuinely are no higher simplices, so
     the boundary from above the top is the zero map, not a cap artifact."""
-    boundaries = [simplicial_boundary_matrix(cx, d) for d in range(cx.maxdim + 1)]
-    if cx.maxdim >= cx.size - 1:
-        boundaries.append(SparseIntMatrix(cx.count(cx.maxdim), 0))
+    boundaries = [simplicial_boundary_matrix(simplices, d) for d in range(len(simplices))]
+    if len(simplices) >= len(simplices[0]):
+        boundaries.append(SparseIntMatrix(len(simplices[-1]), 0))
     return homology_from_boundaries(boundaries)
 
 
@@ -159,12 +145,12 @@ def simplicial_projection_map(shelf: Shelf, degree: int) -> SparseIntMatrix:
     """
     if not 0 <= degree < shelf.size:
         raise DegreeOutOfRange(f"degree {degree} outside 0..{shelf.size - 1}, the simplex dimensions")
-    complex_ = build_shelf_complex(shelf, degree)
-    mat = _projection_matrix(shelf, complex_, degree)
+    simplices = build_shelf_complex(shelf, degree)
+    mat = _projection_matrix(shelf, simplices, degree)
     if degree >= 1:
-        prev = _projection_matrix(shelf, complex_, degree - 1)
+        prev = _projection_matrix(shelf, simplices, degree - 1)
         d_alg = boundary_matrix(shelf, (1,), degree, augmented=False)
-        d_simp = simplicial_boundary_matrix(complex_, degree)
+        d_simp = simplicial_boundary_matrix(simplices, degree)
         if d_simp.matmul(mat) != prev.matmul(d_alg):
             raise ChainMapViolation(
                 f"projection fails to commute with boundaries at degree {degree}"
@@ -172,9 +158,9 @@ def simplicial_projection_map(shelf: Shelf, degree: int) -> SparseIntMatrix:
     return mat
 
 
-def _projection_matrix(shelf: Shelf, complex_, degree: int) -> SparseIntMatrix:
+def _projection_matrix(shelf: Shelf, simplices, degree: int) -> SparseIntMatrix:
     n = shelf.size
-    simplex_rows = {s: i for i, s in enumerate(complex_.simplices[degree])}
+    simplex_rows = {s: i for i, s in enumerate(simplices[degree])}
     data = {}
     for col, tup in enumerate(product(range(n), repeat=degree + 1)):
         verts = suffix_products(shelf.table, tup)

@@ -117,11 +117,12 @@ def homology_from_boundaries(boundaries) -> list[HomologyGroup]:
             })
         forms.append(smith_normal_form(mat))
         paired = forms[-1].paired
-    return [
-        HomologyGroup(d, boundaries[d].ncols - forms[d].rank - forms[d + 1].rank,
-                      forms[d + 1].torsion())
-        for d in range(len(forms) - 1)
-    ]
+    groups = []
+    for d in range(len(forms) - 1):
+        rank = boundaries[d].ncols - forms[d].rank - forms[d + 1].rank
+        assert rank >= 0, f"negative free rank {rank} in degree {d}"
+        groups.append(HomologyGroup(d, rank, forms[d + 1].torsion()))
+    return groups
 
 
 def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:

@@ -2,8 +2,7 @@
 without importing ``dataclasses`` and generating code in every process.
 
 A value type lists its fields in ``__slots__`` in constructor order and sets
-them once, in ``__init__``, through ``_set``.  Slots named with a leading
-underscore are caches, not fields: ==, hash, repr and pickle skip them.
+them once, in ``__init__``, through ``_set``.
 """
 
 
@@ -11,7 +10,7 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = cls.__slots__
 
     def _set(self, *values):
         for name, value in zip(self.__slots__, values):

@@ -650,6 +650,9 @@ R7_DOC = {
     "size": 7,
     "ops": [[[(2 * y - x) % 7 for y in range(7)] for x in range(7)]],
 }
+# the meet on {0..3} as bit sets: its shelf complex has 2-cells
+MEET4_DOC = {"size": 4, "ops": [[[a & b for b in range(4)] for a in range(4)]]}
+TWO_ORBITS_DOC = {"size": 3, "ops": [[[0, 1, 2], [0, 1, 2], [0, 0, 2]]]}
 # x*y = x+1 mod 8: a shelf at the size guard of the class key
 SHIFT8_DOC = {"size": 8, "ops": [[[(x + 1) % 8] * 8 for x in range(8)]]}
 
@@ -678,6 +681,16 @@ PINNED_REPORTS = {
                     "a1c77896a327dc33dba44063a79399e601861971739afe8746c7327523c1d6db"),
     "orbits": (["orbits"], PAPER_DOC,
                "63c89b76c53997e0312cb4821fb67dec4fc8f4ab889e1ea3910a8ca727631866"),
+    "orbits-two-blocks": (["orbits"], TWO_ORBITS_DOC,
+                          "d34c1cd4e44233c64ebe6af39c15cebce919a3524862ed86f6930c61f3307957"),
+    "simplicial-paper": (["simplicial"], PAPER_DOC,
+                         "6777804640499331af11ab3bae21fc062f26aef58dc5bdc3a5a40174b70990e7"),
+    "simplicial-paper-maxdeg-0": (["simplicial", "--maxdeg", "0"], PAPER_DOC,
+                                  "97f8ad69922e4a6d5fda29c749352b6d9792dbc518a3a7efeff8cfecab07ef8f"),
+    "simplicial-paper-maxdeg-6": (["simplicial", "--maxdeg", "6"], PAPER_DOC,
+                                  "74aab193986624dbf8956486a90c612506199ef282159dc37024c6dbba66e429"),
+    "simplicial-meet": (["simplicial"], MEET4_DOC,
+                        "ffb1c8d6de455f82f91fceead084f51909d91fbbf7c851bebec331fc0e42f8b2"),
     "validate-shelf": (["validate"], PAPER_DOC,
                        "7327b966ea0e27e964eb446c9e88cb4519b711360d403eaad3b330709c5233d3"),
     "validate-multi": (["validate"], BOOLEAN3_DOC,
@@ -731,6 +744,27 @@ def test_internal_assertion_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "validate", "--input", path)
     assert code == 4
     assert json.loads(err)["error"] == "DDNotZero"
+
+
+def test_negative_free_rank_is_exit_4_not_a_traceback(tmp_path, capsys, monkeypatch):
+    # only a wrong SNF (or d o d != 0) makes dim C_d - rank d_d - rank d_{d+1}
+    # negative; simulate one with 50 spurious unit factors per boundary
+    from shelfhom import snf
+
+    real = snf.smith_normal_form
+
+    def padded(mat):
+        form = real(mat)
+        return snf.SmithForm((1,) * 50 + form.factors, form.paired)
+
+    monkeypatch.setattr(snf, "smith_normal_form", padded)
+    path = write(tmp_path, RACK_DOC)
+    code, out, err = run(capsys, "homology", "--maxdeg", "2", "--input", path)
+    assert (code, out) == (4, "")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "AssertionError",
+                               "message": "negative free rank -100 in degree 0"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -122,7 +122,7 @@ def test_combine_disjoint_union_is_left_connected():
     r3 = validate_shelf(BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3))
     union = disjoint_union([r3, r3])
     assert union.size == 6
-    assert left_orbits(union).count == 1
+    assert len(left_orbits(union)) == 1
 
 
 def test_combine_empty_list():

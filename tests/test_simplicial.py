@@ -6,9 +6,9 @@ from shelfhom.chain import homology_groups, preset_complex
 from shelfhom.errors import CapExceeded, DegreeOutOfRange, FaceNotGenerated
 from shelfhom.orbits import left_orbits
 from shelfhom.simplicial import (
-    ShelfComplex,
     build_shelf_complex,
     components,
+    maximal_simplices,
     simplicial_boundary_matrix,
     simplicial_groups,
 )
@@ -24,11 +24,11 @@ PAPER_4x4 = validate_shelf(
 def test_paper_example_complex_shape():
     scx = build_shelf_complex(PAPER_4x4)
     # a hollow triangle on {0,1,2} plus the isolated vertex 3
-    assert scx.simplices[0] == ((0,), (1,), (2,), (3,))
-    assert scx.simplices[1] == ((0, 1), (0, 2), (1, 2))
-    assert scx.count(2) == 0
-    assert scx.count(3) == 0
-    assert scx.maximal_simplices() == [(3,), (0, 1), (0, 2), (1, 2)]
+    assert scx[0] == ((0,), (1,), (2,), (3,))
+    assert scx[1] == ((0, 1), (0, 2), (1, 2))
+    assert len(scx[2]) == 0
+    assert len(scx[3]) == 0
+    assert maximal_simplices(scx) == [(3,), (0, 1), (0, 2), (1, 2)]
 
 
 def test_paper_example_components_and_h1():
@@ -43,29 +43,25 @@ def test_paper_example_components_and_h1():
 
 def test_right_trivial_has_no_edges():
     scx = build_shelf_complex(validate_shelf(right_trivial_op(4)))
-    assert scx.count(0) == 4
+    assert len(scx[0]) == 4
     for d in range(1, 4):
-        assert scx.count(d) == 0
+        assert len(scx[d]) == 0
     assert components(scx)[0] == 4
 
 
 def test_single_point_complex():
     scx = build_shelf_complex(validate_shelf(BinaryOpTable.from_rows([[0]])))
-    assert scx.simplices[0] == ((0,),)
+    assert scx[0] == ((0,),)
     h0 = simplicial_groups(scx)[0]
     assert (h0.rank, h0.torsion) == (1, ())
 
 
 def test_full_triangle_is_contractible():
     # machinery check on a hand-built complex with its 2-cell present
-    scx = ShelfComplex(
-        size=3,
-        maxdim=2,
-        simplices=(
-            ((0,), (1,), (2,)),
-            ((0, 1), (0, 2), (1, 2)),
-            ((0, 1, 2),),
-        ),
+    scx = (
+        ((0,), (1,), (2,)),
+        ((0, 1), (0, 2), (1, 2)),
+        ((0, 1, 2),),
     )
     h0, h1 = simplicial_groups(scx)[:2]
     assert h1.is_trivial()
@@ -75,17 +71,13 @@ def test_full_triangle_is_contractible():
 def test_maximal_simplices_of_a_complex_that_is_not_face_closed():
     # hand-built, with faces missing: (3,) is covered by (2, 3) although
     # (2,) is not stored, and (4,) by nothing
-    scx = ShelfComplex(
-        size=5,
-        maxdim=3,
-        simplices=(
-            ((0,), (3,), (4,)),
-            ((0, 1), (0, 2), (2, 3)),
-            ((0, 1, 2),),
-            (),
-        ),
+    scx = (
+        ((0,), (3,), (4,)),
+        ((0, 1), (0, 2), (2, 3)),
+        ((0, 1, 2),),
+        (),
     )
-    assert scx.maximal_simplices() == [(4,), (2, 3), (0, 1, 2)]
+    assert maximal_simplices(scx) == [(4,), (2, 3), (0, 1, 2)]
 
 
 def test_meet_shelf_has_a_two_cell():
@@ -94,16 +86,12 @@ def test_meet_shelf_has_a_two_cell():
 
     shelf = intersection_shelf(omega_size=2, family=(0, 1, 2, 3))
     scx = build_shelf_complex(shelf)
-    assert scx.count(2) > 0
+    assert len(scx[2]) > 0
     assert components(scx)[0] == 1
 
 
 def test_boundary_matrix_signs():
-    scx = ShelfComplex(
-        size=3,
-        maxdim=1,
-        simplices=(((0,), (1,), (2,)), ((0, 1), (1, 2))),
-    )
+    scx = (((0,), (1,), (2,)), ((0, 1), (1, 2)))
     d1 = simplicial_boundary_matrix(scx, 1)
     assert d1.to_dense() == [[-1, 0], [1, -1], [0, 1]]
     d0 = simplicial_boundary_matrix(scx, 0)
@@ -114,7 +102,7 @@ def test_component_count_equals_orbit_count(classes4, labelled_by_size):
     small = [Shelf(t) for tables in labelled_by_size.values() for t in tables]
     for shelf in small + classes4:
         scx = build_shelf_complex(shelf, maxdim=1)
-        assert components(scx)[0] == left_orbits(shelf).count
+        assert components(scx)[0] == len(left_orbits(shelf))
 
 
 def test_face_closure_holds_on_small_shelves(classes4):
@@ -146,11 +134,11 @@ def test_tuple_cap():
     with pytest.raises(CapExceeded):
         build_shelf_complex(PAPER_4x4, maxdim=3, cap=10)
     # the cap counts the tuples enumerated, of length at most n: 4^4 here
-    assert build_shelf_complex(PAPER_4x4, maxdim=9, cap=256).count(1) == 3
+    assert len(build_shelf_complex(PAPER_4x4, maxdim=9, cap=256)[1]) == 3
     with pytest.raises(CapExceeded, match=r"4\^4 exceeds the tuple cap 255"):
         build_shelf_complex(PAPER_4x4, maxdim=9, cap=255)
     # and at least one element per listed dimension
-    assert build_shelf_complex(PAPER_4x4, maxdim=255, cap=256).count(1) == 3
+    assert len(build_shelf_complex(PAPER_4x4, maxdim=255, cap=256)[1]) == 3
     with pytest.raises(CapExceeded, match=r"max\(4\^4, 257\) = 257 exceeds the tuple cap 256"):
         build_shelf_complex(PAPER_4x4, maxdim=256, cap=256)
 
@@ -162,7 +150,7 @@ def test_groups_match_the_dense_oracle(classes4, labelled_by_size):
         for maxdim in (shelf.size - 1, 1):
             scx = build_shelf_complex(shelf, maxdim)
             got = [(g.rank, g.torsion) for g in simplicial_groups(scx)]
-            assert got == oracles.dense_simplicial_groups(scx.simplices, shelf.size)
+            assert got == oracles.dense_simplicial_groups(scx, shelf.size)
 
 
 @pytest.fixture

@@ -6,13 +6,13 @@ import pickle
 
 import pytest
 
+import shelfhom
 from shelfhom.chain import ChainComplex
 from shelfhom.errors import OutOfRange, SizeMismatch
 from shelfhom.intmat import SparseIntMatrix
-from shelfhom.orbits import OrbitPartition
-from shelfhom.simplicial import ShelfComplex
 from shelfhom.snf import HomologyGroup, SmithForm
 from shelfhom.tables import BinaryOpTable, MultiShelf, Shelf
+from shelfhom.value import Value
 
 
 def _table():
@@ -41,16 +41,6 @@ CASES = {
         None, ("size", "ops", "coefficients", "augmented", "boundaries"),
         "ChainComplex(n=2, ops=1, maxdeg=1, augmented=True)",
     ),
-    "OrbitPartition": (
-        lambda: OrbitPartition(2, ((0,), (1,))), lambda: OrbitPartition(2, ((0, 1),)),
-        ("size", "blocks"),
-        "OrbitPartition(size=2, blocks=((0,), (1,)))",
-    ),
-    "ShelfComplex": (
-        lambda: ShelfComplex(2, 1, (((0,), (1,)), ((0, 1),))),
-        lambda: ShelfComplex(2, 0, (((0,), (1,)),)), ("size", "maxdim", "simplices"),
-        "ShelfComplex(size=2, maxdim=1, simplices=(((0,), (1,)), ((0, 1),)))",
-    ),
     "SmithForm": (
         lambda: SmithForm((1, 2), frozenset({0})), lambda: SmithForm((1, 4)),
         ("factors", "paired"),
@@ -65,6 +55,8 @@ CASES = {
 
 
 def test_value_types_keep_their_contract():
+    # importing shelfhom loaded every module, so this is every value type
+    assert set(CASES) == {c.__name__ for c in Value.__subclasses__()}
     for name, (build, other, fields, text) in CASES.items():
         a, b = build(), build()
         assert type(a).__name__ == name
@@ -90,15 +82,10 @@ def test_value_types_keep_their_contract():
             if name != "ChainComplex":
                 assert c == a and hash(c) == hash(a), name
 
-    # SmithForm ignores paired; OrbitPartition's block index is no field
+    # SmithForm ignores paired
     assert SmithForm((1, 2), frozenset({0})) == SmithForm((1, 2))
     assert hash(SmithForm((1, 2), frozenset({0}))) == hash(SmithForm((1, 2)))
     assert SmithForm((1,)).paired == frozenset()
-    part = OrbitPartition(3, ((0, 2), (1,)))
-    assert [part.block_of(x) for x in range(3)] == [0, 1, 0]
-    assert part == OrbitPartition(3, ((0, 2), (1,)))
-    assert repr(part) == "OrbitPartition(size=3, blocks=((0, 2), (1,)))"
-    assert part.count == 2 and part.representatives == (0, 1)
 
     # defaults and keyword construction
     assert HomologyGroup(degree=2, rank=1) == HomologyGroup(2, 1, ())
@@ -125,3 +112,10 @@ def test_value_types_keep_their_contract():
         with pytest.raises(error) as caught:
             make()
         assert str(caught.value) == message
+
+
+def test_orbits_and_the_shelf_complex_are_plain_tuples():
+    # the left orbits are their blocks, and the shelf complex is its simplices
+    paper = Shelf(BinaryOpTable(((0, 2, 2, 3), (0, 1, 2, 3), (0, 2, 2, 3), (2, 0, 2, 3))))
+    assert shelfhom.left_orbits(paper) == ((0, 1, 2), (3,))
+    assert shelfhom.build_shelf_complex(paper)[1] == ((0, 1), (0, 2), (1, 2))
