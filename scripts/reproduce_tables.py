@@ -26,7 +26,7 @@ def profile_table(size, maxdeg):
     profiles = Counter()
     orbit_counts = {}
     for shelf in shelves:
-        ranks = tuple(g.rank for g in preset_homology(shelf, "shelf", maxdeg))
+        ranks = tuple(g["rank"] for g in preset_homology(shelf, "shelf", maxdeg))
         profiles[ranks] += 1
         orbit_counts.setdefault(ranks, len(left_orbits(shelf)))
     print(f"homology through degree {maxdeg} in {time.time() - t0:.1f}s")

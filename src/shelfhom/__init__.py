@@ -35,7 +35,7 @@ from .simplicial import (
     simplicial_groups,
     simplicial_projection_map,
 )
-from .snf import HomologyGroup, SmithForm, smith_normal_form
+from .snf import SmithForm, smith_normal_form
 from .tables import (
     BinaryOpTable,
     MultiShelf,

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .intmat import SparseIntMatrix
 from .orbits import is_spindle
-from .snf import HomologyGroup, homology_from_boundaries
+from .snf import homology_from_boundaries
 from .tables import (
     BinaryOpTable,
     MultiShelf,
@@ -219,9 +219,10 @@ def build_complex(ms, coefficients, maxdeg: int, augmented: bool = True,
     return ChainComplex(ms.size, ms.ops, coefficients, augmented, boundaries)
 
 
-def homology_groups(cx: ChainComplex, through_degree: int) -> list[HomologyGroup]:
-    """H_0..H_through_degree; H_d needs d_{d+1}, so the complex must be built
-    at least one degree past the last one requested."""
+def homology_groups(cx: ChainComplex, through_degree: int) -> list[dict]:
+    """H_0..H_through_degree as the {"degree", "rank", "torsion"} records of
+    :func:`homology_from_boundaries`; H_d needs d_{d+1}, so the complex must
+    be built at least one degree past the last one requested."""
     if not 0 <= through_degree <= cx.maxdeg - 1:
         raise DegreeOutOfRange(
             f"homology through degree {through_degree} needs boundaries "
@@ -264,7 +265,7 @@ def preset_complex(structure, kind: str, maxdeg: int, coefficients=None,
 
 def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
                     augmented: bool | None = None,
-                    cap: int = DEFAULT_MEMORY_CAP) -> list[HomologyGroup]:
+                    cap: int = DEFAULT_MEMORY_CAP) -> list[dict]:
     """H_0..H_maxdeg of :func:`preset_complex`."""
     cx = preset_complex(structure, kind, maxdeg, coefficients, augmented, cap)
     return homology_groups(cx, maxdeg)

@@ -119,11 +119,6 @@ def _augmented_flag(args):
     return {"on": True, "off": False}.get(args.augmented)
 
 
-def _groups_doc(groups) -> list:
-    return [{"degree": g.degree, "rank": g.rank, "torsion": list(g.torsion)}
-            for g in groups]
-
-
 def _structure_key(structure) -> list:
     if isinstance(structure, Shelf):
         if structure.size <= CANONICAL_SIZE_LIMIT:
@@ -180,10 +175,12 @@ def cmd_homology(args):
     maxdeg = 3 if args.maxdeg is None else args.maxdeg
     coeffs = None
     if args.kind == "multi":
-        structure = as_multishelf(_need_input(args))
+        # keyed as loaded, so a one-table document gets its canonical key
+        structure = _need_input(args)
         if not args.coefficients:
             raise errors.ParseError("kind=multi needs --coefficients")
-        coeffs = _parse_coefficients(args.coefficients, len(structure.ops))
+        coeffs = _parse_coefficients(args.coefficients,
+                                     len(as_multishelf(structure).ops))
     elif args.coefficients:
         raise errors.ParseError("--coefficients only applies to kind=multi")
     else:
@@ -206,7 +203,7 @@ def cmd_homology(args):
         "kind": args.kind,
         "coefficients": list(cx.coefficients),
         "augmented": cx.augmented,
-        "groups": _groups_doc(homology_groups(cx, maxdeg)),
+        "groups": homology_groups(cx, maxdeg),
     }
 
 
@@ -221,7 +218,7 @@ def cmd_simplicial(args):
         "maximal_simplices": [list(s) for s in maximal_simplices(simplices)],
         "components": count,
         "component_labels": list(labels),
-        "groups": _groups_doc(simplicial_groups(simplices)),
+        "groups": simplicial_groups(simplices),
     }
 
 

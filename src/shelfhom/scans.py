@@ -75,7 +75,7 @@ def _groups(job):
 
 
 def _ranks(job_list, jobs):
-    return [[g.rank for g in groups]
+    return [[g["rank"] for g in groups]
             for groups in _pool_map(_groups, job_list, jobs)]
 
 
@@ -305,7 +305,7 @@ def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> dict:
     group_lists = _pool_map(_groups, [(s, "shelf", maxdeg) for s in shelves], jobs)
     points = []
     for shelf, groups in zip(shelves, group_lists):
-        torsions = [list(g.torsion) for g in groups]
+        torsions = [g["torsion"] for g in groups]
         if not any(torsions):
             continue
         points.append({

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .intmat import SparseIntMatrix
 from .orbits import UnionFind
-from .snf import HomologyGroup, homology_from_boundaries
+from .snf import homology_from_boundaries
 from .tables import Shelf, suffix_products
 
 DEFAULT_TUPLE_CAP = 1 << 22
@@ -123,11 +123,13 @@ def simplicial_boundary_matrix(simplices, degree: int) -> SparseIntMatrix:
     return SparseIntMatrix._raw(len(rows), len(cols), data)
 
 
-def simplicial_groups(simplices) -> list[HomologyGroup]:
+def simplicial_groups(simplices) -> list[dict]:
     """Unreduced simplicial homology H_0..H_{maxdim-1}, and H_maxdim too
     when maxdim >= n - 1, that is when there are at least as many
     dimensions as vertices: then there genuinely are no higher simplices, so
-    the boundary from above the top is the zero map, not a cap artifact."""
+    the boundary from above the top is the zero map, not a cap artifact.
+    The groups are the {"degree", "rank", "torsion"} records of
+    :func:`homology_from_boundaries`."""
     boundaries = [simplicial_boundary_matrix(simplices, d) for d in range(len(simplices))]
     if len(simplices) >= len(simplices[0]):
         boundaries.append(SparseIntMatrix(len(simplices[-1]), 0))

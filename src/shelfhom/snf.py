@@ -37,17 +37,6 @@ from .intmat import SparseIntMatrix
 from .value import Value
 
 
-def _check_chain(factors, least):
-    """Raise ValueError unless each factor is >= least and divides the next."""
-    prev = 1
-    for f in factors:
-        if f < least:
-            raise ValueError(f"factor {f} is below {least}")
-        if f % prev:
-            raise ValueError(f"factors {prev}, {f} break the divisibility chain")
-        prev = f
-
-
 class SmithForm(Value):
     """Invariant factors s1 | s2 | ... | sr of an integer matrix.
 
@@ -59,7 +48,13 @@ class SmithForm(Value):
 
     def __init__(self, factors: tuple[int, ...], paired: frozenset = frozenset()):
         self._set(factors, paired)
-        _check_chain(factors, 1)
+        prev = 1
+        for f in factors:
+            if f < 1:
+                raise ValueError(f"factor {f} is below 1")
+            if f % prev:
+                raise ValueError(f"factors {prev}, {f} break the divisibility chain")
+            prev = f
 
     def _key(self):
         return (self.factors,)
@@ -75,30 +70,9 @@ class SmithForm(Value):
         return tuple(f for f in self.factors if f > 1)
 
 
-class HomologyGroup(Value):
-    """Free rank plus torsion invariant factors in one degree."""
-
-    __slots__ = ("degree", "rank", "torsion")
-
-    def __init__(self, degree: int, rank: int, torsion: tuple[int, ...] = ()):
-        self._set(degree, rank, torsion)
-        if rank < 0:
-            raise ValueError(f"negative free rank {rank}")
-        _check_chain(torsion, 2)
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    def describe(self) -> str:
-        parts = []
-        if self.rank:
-            parts.append(f"Z^{self.rank}" if self.rank > 1 else "Z")
-        parts.extend(f"Z/{f}" for f in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
-
-def homology_from_boundaries(boundaries) -> list[HomologyGroup]:
-    """H_0..H_{k-1} of the complex with boundaries d_0..d_k.
+def homology_from_boundaries(boundaries) -> list[dict]:
+    """H_0..H_{k-1} of the complex with boundaries d_0..d_k, as the records
+    reports print: {"degree": d, "rank": free rank, "torsion": [factors]}.
 
     rank H_d = dim C_d - rank d_d - rank d_{d+1}, where dim C_d is the column
     count of d_d, and the torsion of H_d is that of d_{d+1}.  Each boundary
@@ -121,7 +95,8 @@ def homology_from_boundaries(boundaries) -> list[HomologyGroup]:
     for d in range(len(forms) - 1):
         rank = boundaries[d].ncols - forms[d].rank - forms[d + 1].rank
         assert rank >= 0, f"negative free rank {rank} in degree {d}"
-        groups.append(HomologyGroup(d, rank, forms[d + 1].torsion()))
+        groups.append({"degree": d, "rank": rank,
+                       "torsion": list(forms[d + 1].torsion())})
     return groups
 
 

@@ -52,7 +52,7 @@ def criterion(num, name):
 
 
 def shelf_ranks(shelf, maxdeg):
-    return [g.rank for g in preset_homology(shelf, "shelf", maxdeg)]
+    return [g["rank"] for g in preset_homology(shelf, "shelf", maxdeg)]
 
 
 @pytest.fixture(scope="session")
@@ -96,8 +96,8 @@ def test_criterion_02_h0_counts_left_orbits(classes_by_size):
         for n in (1, 2, 3, 4):
             for shelf in classes_by_size[n]:
                 group = preset_homology(shelf, "shelf", 0)[0]
-                assert group.rank == len(left_orbits(shelf)) - 1, shelf
-                assert group.torsion == (), shelf
+                assert group["rank"] == len(left_orbits(shelf)) - 1, shelf
+                assert group["torsion"] == [], shelf
 
 
 def test_criterion_03_chain_complex_laws(labelled_by_size):
@@ -217,7 +217,7 @@ def test_criterion_06_vanishing(classes_by_size):
                 ):
                     continue
                 groups = preset_homology(shelf, "shelf", 4)
-                assert all(g.is_trivial() for g in groups), shelf
+                assert all((g["rank"], g["torsion"]) == (0, []) for g in groups), shelf
 
 
 def test_criterion_07_right_trivial_formula():
@@ -225,10 +225,10 @@ def test_criterion_07_right_trivial_formula():
         for n in (2, 3, 4):
             shelf = validate_shelf(right_trivial_op(n))
             groups = preset_homology(shelf, "shelf", 4)
-            assert [g.rank for g in groups] == [
+            assert [g["rank"] for g in groups] == [
                 (n - 1) * n ** d for d in range(5)
             ]
-            assert all(g.torsion == () for g in groups)
+            assert all(g["torsion"] == [] for g in groups)
 
 
 def test_criterion_08_retract_rank_formula(labelled_by_size):
@@ -260,8 +260,8 @@ def test_criterion_09_kamada_corollary():
         for table in racks:
             fwd = validate_shelf(table)
             bwd = validate_shelf(inverse_op(table))
-            fr = [g.rank for g in preset_homology(fwd, "rack", 3)]
-            br = [g.rank for g in preset_homology(bwd, "rack", 3)]
+            fr = [g["rank"] for g in preset_homology(fwd, "rack", 3)]
+            br = [g["rank"] for g in preset_homology(bwd, "rack", 3)]
             assert fr == br, table
 
 
@@ -275,7 +275,7 @@ def test_criterion_10_simplicial_example():
         scx = build_shelf_complex(shelf)
         assert components(scx)[0] == 2
         h1 = simplicial_groups(scx)[1]
-        assert (h1.rank, h1.torsion) == (1, ())
+        assert (h1["rank"], h1["torsion"]) == (1, [])
 
 
 def test_criterion_11_torsion_exists():

@@ -152,8 +152,8 @@ def test_f_map_invertible_swap_left():
     source = build_complex(
         Shelf(compose_ops(swap, swap)), (1,), 3, augmented=True
     )
-    ranks_source = [g.rank for g in homology_groups(source, 2)]
-    ranks_target = [g.rank for g in homology_groups(target, 2)]
+    ranks_source = [g["rank"] for g in homology_groups(source, 2)]
+    ranks_target = [g["rank"] for g in homology_groups(target, 2)]
     for d in range(3):
         f = F_chain_map(swap, Shelf(swap), (1,), d)
         cols = {}
@@ -185,8 +185,8 @@ def test_f_map_kamada_mechanism():
     )
     for d in range(3):
         F_chain_map(inv, target_ms, (1, -1), d)  # raises on any failure
-    assert [g.rank for g in homology_groups(source, 2)] == [
-        g.rank for g in homology_groups(target, 2)
+    assert [g["rank"] for g in homology_groups(source, 2)] == [
+        g["rank"] for g in homology_groups(target, 2)
     ]
 
 

@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from shelfhom.chain import preset_homology
 from shelfhom.cli import main
+from shelfhom.simplicial import build_shelf_complex, simplicial_groups
+from shelfhom.tables import BinaryOpTable, validate_shelf
 
 PAPER_DOC = {
     "size": 4,
@@ -706,6 +709,10 @@ PINNED_REPORTS = {
     "homology-multi": (["homology", "--kind", "multi", "--coefficients", "1,-1,2"],
                        BOOLEAN3_DOC,
                        "5df15724ee10264638793aa618ca279392d425cd3c561a1196ca75310e53fdd7"),
+    # the hunt-4 benchmark workload: its groups cross the worker pool
+    "torsion-hunt-4-jobs-2": (["torsion-hunt", "--size", "4", "--maxdeg", "2",
+                               "--jobs", "2"], None,
+                              "901df1a786ad5b0a8d1a3f51cc2300a96133a2e231d0d84b14406e13c359a467"),
 }
 
 
@@ -717,6 +724,36 @@ def test_report_digest_is_pinned(tmp_path, capsys, case):
     code, out, err = run(capsys, *argv, "--no-timestamp")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _report(tmp_path, capsys, doc, *argv):
+    code, out, err = run(capsys, *argv, "--input", write(tmp_path, doc),
+                         "--no-timestamp")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_library_groups_are_the_report_groups(tmp_path, capsys):
+    r3 = validate_shelf(BinaryOpTable.from_rows(RACK_DOC["ops"][0]))
+    paper = validate_shelf(BinaryOpTable.from_rows(PAPER_DOC["ops"][0]))
+    cases = [
+        (preset_homology(r3, "quandle", 3), RACK_DOC,
+         ["homology", "--kind", "quandle", "--maxdeg", "3"]),
+        (preset_homology(paper, "shelf", 4), PAPER_DOC, ["homology", "--maxdeg", "4"]),
+        (simplicial_groups(build_shelf_complex(paper)), PAPER_DOC, ["simplicial"]),
+    ]
+    for groups, doc, argv in cases:
+        assert groups == _report(tmp_path, capsys, doc, *argv)["groups"], argv
+
+
+def test_one_table_multi_report_has_the_canonical_key(tmp_path, capsys):
+    # a one-table document loads as a Shelf whichever kind reads it, so
+    # --kind multi at coefficient 1 reports what --kind shelf reports
+    multi = _report(tmp_path, capsys, TWO_ORBITS_DOC, "homology", "--kind", "multi",
+                    "--coefficients", "1")
+    shelf = _report(tmp_path, capsys, TWO_ORBITS_DOC, "homology")
+    assert multi["shelf"] == shelf["shelf"] == [0, 1, 1, 0, 1, 2, 0, 1, 2]
+    assert multi == {**shelf, "kind": "multi"}
 
 
 def test_scan_with_jobs_flag_matches_sequential(capsys):

@@ -37,8 +37,8 @@ def test_paper_example_components_and_h1():
     assert count == 2
     assert labels == (0, 0, 0, 1)
     h0, h1 = simplicial_groups(scx)[:2]
-    assert (h1.rank, h1.torsion) == (1, ())
-    assert (h0.rank, h0.torsion) == (2, ())
+    assert (h1["rank"], h1["torsion"]) == (1, [])
+    assert (h0["rank"], h0["torsion"]) == (2, [])
 
 
 def test_right_trivial_has_no_edges():
@@ -53,7 +53,7 @@ def test_single_point_complex():
     scx = build_shelf_complex(validate_shelf(BinaryOpTable.from_rows([[0]])))
     assert scx[0] == ((0,),)
     h0 = simplicial_groups(scx)[0]
-    assert (h0.rank, h0.torsion) == (1, ())
+    assert (h0["rank"], h0["torsion"]) == (1, [])
 
 
 def test_full_triangle_is_contractible():
@@ -64,8 +64,8 @@ def test_full_triangle_is_contractible():
         ((0, 1, 2),),
     )
     h0, h1 = simplicial_groups(scx)[:2]
-    assert h1.is_trivial()
-    assert h0.rank == 1
+    assert (h1["rank"], h1["torsion"]) == (0, [])
+    assert h0["rank"] == 1
 
 
 def test_maximal_simplices_of_a_complex_that_is_not_face_closed():
@@ -125,7 +125,7 @@ def test_missing_face_raises_face_not_generated():
 def test_degree_window_guard():
     # H_1 needs dimension 2, but the complex is built to 1 < n - 1
     scx = build_shelf_complex(PAPER_4x4, maxdim=1)
-    assert [g.degree for g in simplicial_groups(scx)] == [0]
+    assert [g["degree"] for g in simplicial_groups(scx)] == [0]
     with pytest.raises(DegreeOutOfRange):
         simplicial_boundary_matrix(scx, 2)
 
@@ -149,7 +149,7 @@ def test_groups_match_the_dense_oracle(classes4, labelled_by_size):
     for shelf in shelves:
         for maxdim in (shelf.size - 1, 1):
             scx = build_shelf_complex(shelf, maxdim)
-            got = [(g.rank, g.torsion) for g in simplicial_groups(scx)]
+            got = [(g["rank"], tuple(g["torsion"])) for g in simplicial_groups(scx)]
             assert got == oracles.dense_simplicial_groups(scx, shelf.size)
 
 

@@ -10,7 +10,7 @@ import shelfhom
 from shelfhom.chain import ChainComplex
 from shelfhom.errors import OutOfRange, SizeMismatch
 from shelfhom.intmat import SparseIntMatrix
-from shelfhom.snf import HomologyGroup, SmithForm
+from shelfhom.snf import SmithForm
 from shelfhom.tables import BinaryOpTable, MultiShelf, Shelf
 from shelfhom.value import Value
 
@@ -45,11 +45,6 @@ CASES = {
         lambda: SmithForm((1, 2), frozenset({0})), lambda: SmithForm((1, 4)),
         ("factors", "paired"),
         "SmithForm(factors=(1, 2))",
-    ),
-    "HomologyGroup": (
-        lambda: HomologyGroup(1, 0, (2,)), lambda: HomologyGroup(1, 0), (
-            "degree", "rank", "torsion"),
-        "HomologyGroup(degree=1, rank=0, torsion=(2,))",
     ),
 }
 
@@ -87,16 +82,13 @@ def test_value_types_keep_their_contract():
     assert hash(SmithForm((1, 2), frozenset({0}))) == hash(SmithForm((1, 2)))
     assert SmithForm((1,)).paired == frozenset()
 
-    # defaults and keyword construction
-    assert HomologyGroup(degree=2, rank=1) == HomologyGroup(2, 1, ())
+    # a complex keeps tuples and reads dims and maxdeg off its boundaries
     cx = CASES["ChainComplex"][0]()
     assert type(cx.ops) is tuple and type(cx.boundaries) is tuple
     assert cx.dims == (2, 4) and cx.maxdeg == 1
 
     # constructor refusals, with their messages
     refusals = [
-        (lambda: HomologyGroup(0, -1), ValueError, "negative free rank -1"),
-        (lambda: HomologyGroup(0, 0, (1,)), ValueError, "factor 1 is below 2"),
         (lambda: SmithForm((2, 3)), ValueError,
          "factors 2, 3 break the divisibility chain"),
         (lambda: SmithForm((0,)), ValueError, "factor 0 is below 1"),
