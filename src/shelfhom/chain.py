@@ -20,7 +20,9 @@ the knot-theory literature calls the (n+1)-st rack homology.
 
 from __future__ import annotations
 
-from itertools import product
+from array import array
+from itertools import accumulate, product
+from operator import itemgetter
 
 from .errors import (
     ChainMapViolation,
@@ -82,51 +84,58 @@ def as_multishelf(structure) -> MultiShelf:
 
 
 def _face_tables(ms, coefficients, degree):
-    """(i, (-1)^i c_k, P_i) for each operation with c_k != 0 and each face i.
+    """(i, (-1)^i c_k, P_i) for each operation with c_k != 0 and each face i,
+    one at a time, so that at most two tables are alive.
 
     P_i[q] indexes (x_0*x_i, ..., x_{i-1}*x_i) for the (x_0..x_i) of index
     q, so face i of the degree-d tuple x = q * s + r, s = n^(d-i), lies on
     row P_i[q] * s + r.  P_i is filled from P_{i-1}.
     """
     n = ms.size
-    out = []
     for t, c in [(op.entries, c) for op, c in zip(ms.ops, coefficients) if c]:
         prefix = [0] * n
         for i in range(degree + 1):
             if i:  # P_{i-1} of (x_0..x_{i-2}, x_i), then x_{i-1} * x_i
                 prefix = [prefix[y // (n * n) * n + y % n] * n + t[y // n % n][y % n]
                           for y in range(n ** (i + 1))]
-            out.append((i, c if i % 2 == 0 else -c, prefix))
-    return out
+            yield i, c if i % 2 == 0 else -c, prefix
 
 
-def _assemble(ms, coefficients, degree) -> dict[tuple[int, int], int]:
-    """Entries of sum_k c_k d^k on the degree-d tuples, keyed (row, column).
+def _assemble(ms, coefficients, degree) -> SparseIntMatrix:
+    """The matrix of sum_k c_k d^k on the degree-d tuples, column by column.
 
-    Columns are the outer loop, so what cancels within a column (face 0
-    under (op, identity) always does) is gone before the next one, and
-    entries come in column order, which the SNF's tie-breaks follow.
+    What cancels within a column (face 0 under (op, identity) always does)
+    is gone before the next one starts.  Each column lists its rows in the
+    order the face terms reach them, a row whose terms cancel and come back
+    going last; the SNF's tie-breaks follow that order.
     """
     n = ms.size
     terms = []
     for i, c, prefix in _face_tables(ms, coefficients, degree):
         s = n ** (degree - i)
         terms.append((s, [p * s for p in prefix], c))
-    data: dict[tuple[int, int], int] = {}
+    # lists grow faster than arrays; they become arrays once, at the end
+    colptr, rowidx, values = [0], [], []
     for x in range(n ** (degree + 1)):
+        col: dict[int, int] = {}
         for s, table, c in terms:
-            q, r = divmod(x, s)
-            key = (table[q] + r, x)
-            v = data.get(key, 0) + c
-            if v:
-                data[key] = v
+            row = table[x // s] + x % s
+            if row in col:
+                v = col[row] + c
+                if v:
+                    col[row] = v
+                else:
+                    del col[row]
             else:
-                del data[key]
-    return data
+                col[row] = c
+        rowidx += col
+        values += col.values()
+        colptr.append(len(values))
+    return SparseIntMatrix._raw(n ** degree, array("q", colptr), array("q", rowidx), values)
 
 
 def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> SparseIntMatrix:
-    """Matrix of sum_k c_k d^k in the tuple bases.
+    """Matrix of sum_k c_k d^k in the tuple bases, stored column by column.
 
     Degree d maps C_d (n^(d+1) columns) to C_{d-1} (n^d rows); degree 0 is
     the augmentation row when ``augmented`` and the empty 0 x n matrix
@@ -143,10 +152,9 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
         raise DegreeNegative(f"degree {degree} < 0")
     if degree == 0:
         if not augmented:
-            return SparseIntMatrix(0, n, {})
-        return SparseIntMatrix._raw(1, n, {(0, j): 1 for j in range(n)})
-    data = _assemble(ms, coefficients, degree)
-    return SparseIntMatrix._raw(n ** degree, n ** (degree + 1), data)
+            return SparseIntMatrix(0, n)
+        return SparseIntMatrix._raw(1, array("q", range(n + 1)), array("q", [0] * n), [1] * n)
+    return _assemble(ms, coefficients, degree)
 
 
 class ChainComplex(Value):
@@ -272,8 +280,8 @@ def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
 
 
 def _quotient_faces(ms, coefficients, degree, kept):
-    """Entries of sum_k c_k d^k on the nondegenerate rows, as
-    ((row, tuple index of the column), value) pairs in column order.
+    """Entries of sum_k c_k d^k on the nondegenerate rows, as a dict
+    {(row, tuple index of the column): value} and its keys in column order.
 
     The row of face i of x = q * s + r is the prefix image P_i[q] followed
     by the suffix r, so only the q and r where both parts are nondegenerate
@@ -301,7 +309,7 @@ def _quotient_faces(ms, coefficients, degree, kept):
                     data[key] = v
                 else:
                     del data[key]
-    return sorted(data.items(), key=lambda entry: entry[0][1])
+    return data, sorted(data, key=itemgetter(1))
 
 
 def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = False,
@@ -336,17 +344,25 @@ def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = Fa
         kept.append({x: j for j, x in enumerate(
             y * n + v for y in kept[d] for v in range(n) if v != y % n)})
         rows, cols = kept[d], kept[d + 1]
-        faces = _quotient_faces(ms, coefficients, d, kept)
+        faces, keys = _quotient_faces(ms, coefficients, d, kept)
         # d(D) must live in D: no degenerate column may keep a term, and the
         # first such column in column order is the least
-        leak = next((x for (_, x), _ in faces if x not in cols), None)
+        leak = next((x for _, x in keys if x not in cols), None)
         if leak is not None:
             raise DegenerateNotSubcomplex(
                 f"d({index_tuple(leak, d + 1, n)}) has a nondegenerate "
                 f"term at degree {d} for coefficients {coefficients}"
             )
-        data = {(i, cols[x]): v for (i, x), v in faces}
-        boundaries.append(SparseIntMatrix._raw(len(rows), len(cols), data))
+        # the keys fill the columns in order; faces goes before the next
+        # degree builds its own
+        counts = [0] * len(cols)
+        for _, x in keys:
+            counts[cols[x]] += 1
+        rowidx = array("q", [i for i, _ in keys])
+        values = [faces[key] for key in keys]
+        del faces, keys
+        boundaries.append(SparseIntMatrix._raw(
+            len(rows), array("q", accumulate(counts, initial=0)), rowidx, values))
     _check_dd(boundaries, "quotient ")
     return ChainComplex(n, ms.ops, coefficients, augmented, boundaries)
 
@@ -354,11 +370,10 @@ def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = Fa
 def left_normed_tuple_map(op: BinaryOpTable, degree: int) -> SparseIntMatrix:
     """Basis map (x_0..x_d) -> (x_0*..*x_d, x_1*..*x_d, ..., x_d) as a matrix."""
     n = op.size
-    data = {}
-    for col, tup in enumerate(product(range(n), repeat=degree + 1)):
-        data[(basis_index(suffix_products(op, tup), n), col)] = 1
     m = n ** (degree + 1)
-    return SparseIntMatrix._raw(m, m, data)
+    rowidx = array("q", [basis_index(suffix_products(op, tup), n)
+                         for tup in product(range(n), repeat=degree + 1)])
+    return SparseIntMatrix._raw(m, array("q", range(m + 1)), rowidx, [1] * m)
 
 
 def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int) -> SparseIntMatrix:

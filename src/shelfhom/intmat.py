@@ -1,53 +1,42 @@
-"""Sparse integer matrices in triplet form.
+"""Sparse integer matrices stored column by column.
 
-Only nonzero values are stored, keyed by (row, col); values are plain Python
-integers, so arbitrary precision comes for free.  Matrices are treated as
+Column j holds the rows rowidx[colptr[j]:colptr[j+1]] (array('q')) in the
+order it was built, with the nonzero values at the same positions of a list
+of Python ints, so every entry stays exact.  Matrices are treated as
 immutable once built and are safe to share between threads.
 """
 
-from __future__ import annotations
+from array import array
+from itertools import accumulate, chain, compress, islice, pairwise
 
 from .errors import OutOfRange, SizeMismatch
 
 
 class SparseIntMatrix:
-    __slots__ = ("nrows", "ncols", "data")
+    __slots__ = ("nrows", "ncols", "colptr", "rowidx", "values")
 
     def __init__(self, nrows: int, ncols: int, data=None):
+        """From a dict {(row, col): value}; each column keeps its keys' order."""
         if nrows < 0 or ncols < 0:
             raise OutOfRange("matrix dimensions must be nonnegative")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.data = {}
-        if data:
-            for (i, j), v in data.items():
-                if not 0 <= i < nrows or not 0 <= j < ncols:
-                    raise OutOfRange(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                if v:
-                    self.data[(i, j)] = v
+        columns = [[] for _ in range(ncols)]
+        for (i, j), v in (data or {}).items():
+            if not 0 <= i < nrows or not 0 <= j < ncols:
+                raise OutOfRange(f"entry ({i},{j}) outside {nrows}x{ncols}")
+            if v:
+                columns[j].append((i, v))
+        self.nrows, self.ncols = nrows, ncols
+        self.colptr = array("q", accumulate(map(len, columns), initial=0))
+        self.rowidx = array("q", [i for col in columns for i, _ in col])
+        self.values = [v for col in columns for _, v in col]
 
     @classmethod
-    def _raw(cls, nrows, ncols, data) -> "SparseIntMatrix":
-        # Internal fast path: data is a trusted dict without zeros.
+    def _raw(cls, nrows, colptr, rowidx, values) -> "SparseIntMatrix":
+        """Internal fast path: trusted arrays without zeros."""
         m = cls.__new__(cls)
-        m.nrows = nrows
-        m.ncols = ncols
-        m.data = data
+        m.nrows, m.ncols = nrows, len(colptr) - 1
+        m.colptr, m.rowidx, m.values = colptr, rowidx, values
         return m
-
-    @classmethod
-    def from_dense(cls, rows, ncols=None) -> "SparseIntMatrix":
-        nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        data = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise SizeMismatch("ragged dense matrix")
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = int(v)
-        return cls._raw(nrows, ncols, data)
 
     @property
     def shape(self):
@@ -55,58 +44,68 @@ class SparseIntMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.data)
+        return len(self.values)
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.values
 
-    def to_dense(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
+    def colidx(self):
+        """Each entry's column in stored order: the count of columns that end by it."""
+        ends = [0] * (len(self.values) + 1)
+        for p in islice(self.colptr, 1, None):
+            ends[p] += 1
+        return accumulate(ends)
+
+    def items(self):
+        """((row, col), value) for each entry, in stored order."""
+        return zip(zip(self.rowidx, self.colidx()), self.values)
 
     def triplets(self):
         """Entries as (row, col, value), sorted for deterministic output."""
-        return [(i, j, self.data[(i, j)]) for (i, j) in sorted(self.data)]
+        return sorted(zip(self.rowidx, self.colidx(), self.values))
+
+    def without_rows(self, drop) -> "SparseIntMatrix":
+        """The same shape with the entries on the rows in ``drop`` removed."""
+        keep = [i not in drop for i in self.rowidx]
+        before = list(accumulate(keep, initial=0))
+        # array() takes a list in one step but an iterator item by item
+        return SparseIntMatrix._raw(
+            self.nrows, array("q", [before[p] for p in self.colptr]),
+            array("q", list(compress(self.rowidx, keep))), list(compress(self.values, keep)))
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
-            raise SizeMismatch(
-                f"cannot multiply {self.shape} by {other.shape}"
-            )
-        # walks other's entries in stored order: stored column by column, the
-        # terms of one product column meet and cancel before the next starts
-        cols_of_self = {}
-        for (i, j), a in self.data.items():
-            cols_of_self.setdefault(j, []).append((i, a))
-        acc = {}
-        for (j, k), b in other.data.items():
-            for i, a in cols_of_self.get(j, ()):
-                key = (i, k)
-                s = acc.get(key, 0) + a * b
+            raise SizeMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        pairs = list(zip(self.rowidx, self.values))
+        cols_of_self = [pairs[p:q] for p, q in pairwise(self.colptr)] + [[]]
+        colptr, rowidx, values = [0], [], []
+        # other's entries in stored order: a product column is stored when other's
+        # column ends, and a last term on the empty column self.ncols ends the rest
+        ends = islice(other.colptr, 1, None)
+        end, acc = next(ends, None), {}
+        for t, (j, b) in enumerate(chain(zip(other.rowidx, other.values), [(self.ncols, 0)])):
+            while t == end:
+                if acc:
+                    rowidx.extend(acc)
+                    values.extend(acc.values())
+                    acc = {}
+                colptr.append(len(values))
+                end = next(ends, None)
+            for i, a in cols_of_self[j]:
+                s = acc.get(i, 0) + a * b
                 if s:
-                    acc[key] = s
+                    acc[i] = s
                 else:
-                    del acc[key]
-        return SparseIntMatrix._raw(self.nrows, other.ncols, acc)
+                    del acc[i]
+        return SparseIntMatrix._raw(self.nrows, array("q", colptr), array("q", rowidx), values)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SparseIntMatrix)
-            and self.shape == other.shape
-            and self.data == other.data
-        )
+        return (isinstance(other, SparseIntMatrix) and self.shape == other.shape
+                and dict(self.items()) == dict(other.items()))
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
     def to_csv_text(self) -> str:
         """Triplet CSV (row,col,value) with a header, for external checks."""
-        lines = ["row,col,value"]
-        lines.extend(f"{i},{j},{v}" for i, j, v in self.triplets())
-        return "\n".join(lines) + "\n"
-
-
-def identity_matrix(n: int) -> SparseIntMatrix:
-    return SparseIntMatrix._raw(n, n, {(i, i): 1 for i in range(n)})
+        return "".join(f"{i},{j},{v}\n" for i, j, v in [("row", "col", "value")] + self.triplets())

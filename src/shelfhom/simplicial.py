@@ -19,6 +19,7 @@ of the shelf.
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations, product
 
 from .chain import boundary_matrix
@@ -113,14 +114,14 @@ def simplicial_boundary_matrix(simplices, degree: int) -> SparseIntMatrix:
         )
     cols = simplices[degree]
     if degree == 0:
-        return SparseIntMatrix(0, len(cols), {})
+        return SparseIntMatrix(0, len(cols))
     rows = {s: i for i, s in enumerate(simplices[degree - 1])}
-    data = {}
-    for j, simplex in enumerate(cols):
-        for i in range(degree + 1):
-            face = simplex[:i] + simplex[i + 1:]
-            data[(rows[face], j)] = 1 if i % 2 == 0 else -1
-    return SparseIntMatrix._raw(len(rows), len(cols), data)
+    # every column holds its degree + 1 faces, each on its own row
+    rowidx = array("q", [rows[simplex[:i] + simplex[i + 1:]]
+                         for simplex in cols for i in range(degree + 1)])
+    colptr = array("q", range(0, len(rowidx) + 1, degree + 1))
+    signs = [-1 if i % 2 else 1 for i in range(degree + 1)]
+    return SparseIntMatrix._raw(len(rows), colptr, rowidx, signs * len(cols))
 
 
 def simplicial_groups(simplices) -> list[dict]:
@@ -163,17 +164,14 @@ def simplicial_projection_map(shelf: Shelf, degree: int) -> SparseIntMatrix:
 def _projection_matrix(shelf: Shelf, simplices, degree: int) -> SparseIntMatrix:
     n = shelf.size
     simplex_rows = {s: i for i, s in enumerate(simplices[degree])}
-    data = {}
-    for col, tup in enumerate(product(range(n), repeat=degree + 1)):
+    colptr, rowidx, values = [0], [], []
+    for tup in product(range(n), repeat=degree + 1):
         verts = suffix_products(shelf.table, tup)
-        if len(set(verts)) != len(verts):
-            continue
-        sign = _sort_sign(verts)
-        key = tuple(sorted(verts))
-        data[(simplex_rows[key], col)] = sign
-    return SparseIntMatrix._raw(
-        len(simplex_rows), n ** (degree + 1), data
-    )
+        if len(set(verts)) == len(verts):
+            rowidx.append(simplex_rows[tuple(sorted(verts))])
+            values.append(_sort_sign(verts))
+        colptr.append(len(values))
+    return SparseIntMatrix._raw(len(simplex_rows), array("q", colptr), array("q", rowidx), values)
 
 
 def _sort_sign(seq) -> int:

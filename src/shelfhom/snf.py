@@ -86,9 +86,7 @@ def homology_from_boundaries(boundaries) -> list[dict]:
     paired = frozenset()
     for mat in boundaries:
         if paired:
-            mat = SparseIntMatrix._raw(mat.nrows, mat.ncols, {
-                ij: v for ij, v in mat.data.items() if ij[0] not in paired
-            })
+            mat = mat.without_rows(paired)
         forms.append(smith_normal_form(mat))
         paired = forms[-1].paired
     groups = []
@@ -103,9 +101,18 @@ def homology_from_boundaries(boundaries) -> list[dict]:
 def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (i, j), v in mat.data.items():
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+    # no throwaway dict or set per entry
+    for i, j, v in zip(mat.rowidx, mat.colidx(), mat.values):
+        r = rows.get(i)
+        if r is None:
+            rows[i] = {j: v}
+        else:
+            r[j] = v
+        c = cols.get(j)
+        if c is None:
+            cols[j] = {i}
+        else:
+            c.add(i)
     diag, paired = _eliminate(rows, cols)
     # (a, b) -> (gcd, lcm) on pairs of the diagonal keeps it equivalent, and
     # one pass over all pairs leaves the invariant-factor chain; units stay 1

@@ -2,11 +2,36 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas: dense matrices, naive pivoting, exhaustive filters.  None of it
-shares code paths with the library it checks.
+shares code paths with the library it checks, apart from the conversions
+between dense rows and the library's SparseIntMatrix at the top.
 """
 
 from itertools import combinations, permutations, product
 from math import gcd
+
+from shelfhom.intmat import SparseIntMatrix
+
+
+def from_dense(rows, ncols=None):
+    """The SparseIntMatrix of a dense list of rows; ncols is needed when
+    there are no rows."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged dense matrix")
+    return SparseIntMatrix(len(rows), ncols, {
+        (i, j): int(v) for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+
+
+def to_dense(mat):
+    rows = [[0] * mat.ncols for _ in range(mat.nrows)]
+    for (i, j), v in mat.items():
+        rows[i][j] = v
+    return rows
+
+
+def identity_matrix(n):
+    return SparseIntMatrix(n, n, {(i, i): 1 for i in range(n)})
 
 
 def dense_smith_factors(rows):

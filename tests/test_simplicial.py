@@ -93,7 +93,7 @@ def test_meet_shelf_has_a_two_cell():
 def test_boundary_matrix_signs():
     scx = (((0,), (1,), (2,)), ((0, 1), (1, 2)))
     d1 = simplicial_boundary_matrix(scx, 1)
-    assert d1.to_dense() == [[-1, 0], [1, -1], [0, 1]]
+    assert oracles.to_dense(d1) == [[-1, 0], [1, -1], [0, 1]]
     d0 = simplicial_boundary_matrix(scx, 0)
     assert d0.shape == (0, 3)
 
@@ -183,6 +183,6 @@ def test_each_boundary_is_reduced_once(reduced):
         assert reduced[0] is cx.boundaries[0]
         for handed, full in zip(reduced, cx.boundaries):
             assert handed.shape == full.shape
-            assert handed.data.items() <= full.data.items()
+            assert set(handed.items()) <= set(full.items())
         assert sum(m.nnz for m in reduced) < sum(m.nnz for m in cx.boundaries)
         reduced.clear()
