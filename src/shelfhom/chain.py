@@ -20,9 +20,7 @@ the knot-theory literature calls the (n+1)-st rack homology.
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, product
-from operator import itemgetter
+from itertools import product
 
 from .errors import (
     ChainMapViolation,
@@ -114,24 +112,23 @@ def _assemble(ms, coefficients, degree) -> SparseIntMatrix:
     for i, c, prefix in _face_tables(ms, coefficients, degree):
         s = n ** (degree - i)
         terms.append((s, [p * s for p in prefix], c))
-    # lists grow faster than arrays; they become arrays once, at the end
-    colptr, rowidx, values = [0], [], []
-    for x in range(n ** (degree + 1)):
-        col: dict[int, int] = {}
-        for s, table, c in terms:
-            row = table[x // s] + x % s
-            if row in col:
-                v = col[row] + c
-                if v:
-                    col[row] = v
+
+    def columns():
+        for x in range(n ** (degree + 1)):
+            col: dict[int, int] = {}
+            for s, table, c in terms:
+                row = table[x // s] + x % s
+                if row in col:
+                    v = col[row] + c
+                    if v:
+                        col[row] = v
+                    else:
+                        del col[row]
                 else:
-                    del col[row]
-            else:
-                col[row] = c
-        rowidx += col
-        values += col.values()
-        colptr.append(len(values))
-    return SparseIntMatrix._raw(n ** degree, array("q", colptr), array("q", rowidx), values)
+                    col[row] = c
+            yield col
+
+    return SparseIntMatrix._columns(n ** degree, columns())
 
 
 def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> SparseIntMatrix:
@@ -153,7 +150,7 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
     if degree == 0:
         if not augmented:
             return SparseIntMatrix(0, n)
-        return SparseIntMatrix._raw(1, array("q", range(n + 1)), array("q", [0] * n), [1] * n)
+        return SparseIntMatrix._columns(1, [{0: 1}] * n)
     return _assemble(ms, coefficients, degree)
 
 
@@ -281,17 +278,18 @@ def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
 
 def _quotient_faces(ms, coefficients, degree, kept):
     """Entries of sum_k c_k d^k on the nondegenerate rows, as a dict
-    {(row, tuple index of the column): value} and its keys in column order.
+    {tuple index of the column: {row: value}} of the nonzero columns.
 
     The row of face i of x = q * s + r is the prefix image P_i[q] followed
     by the suffix r, so only the q and r where both parts are nondegenerate
     are visited; the row lookup drops joins that repeat an entry.  Terms
-    come face by face, and a stable sort by column then gives each column's
-    entries in the order of :func:`_assemble`'s column-major loop.
+    come face by face, and each column lists its rows in the order of
+    :func:`_assemble`'s column-major loop.  A column whose terms all cancel
+    leaves the dict at once.
     """
     n = ms.size
     rows = kept[degree]
-    data: dict[tuple[int, int], int] = {}
+    data: dict[int, dict[int, int]] = {}
     for i, c, prefix in _face_tables(ms, coefficients, degree):
         s = n ** (degree - i)
         heads, suffixes = kept[i], kept[degree - i]
@@ -303,13 +301,19 @@ def _quotient_faces(ms, coefficients, degree, kept):
                 row = rows.get(row0 + r)
                 if row is None:
                     continue
-                key = (row, x0 + r)
-                v = data.get(key, 0) + c
+                x = x0 + r
+                col = data.get(x)
+                if col is None:
+                    data[x] = {row: c}
+                    continue
+                v = col.get(row, 0) + c
                 if v:
-                    data[key] = v
+                    col[row] = v
+                elif len(col) > 1:
+                    del col[row]
                 else:
-                    del data[key]
-    return data, sorted(data, key=itemgetter(1))
+                    del data[x]
+    return data
 
 
 def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = False,
@@ -344,25 +348,18 @@ def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = Fa
         kept.append({x: j for j, x in enumerate(
             y * n + v for y in kept[d] for v in range(n) if v != y % n)})
         rows, cols = kept[d], kept[d + 1]
-        faces, keys = _quotient_faces(ms, coefficients, d, kept)
-        # d(D) must live in D: no degenerate column may keep a term, and the
-        # first such column in column order is the least
-        leak = next((x for _, x in keys if x not in cols), None)
+        faces = _quotient_faces(ms, coefficients, d, kept)
+        # d(D) must live in D: no degenerate column may keep a term
+        leak = min((x for x in faces if x not in cols), default=None)
         if leak is not None:
             raise DegenerateNotSubcomplex(
                 f"d({index_tuple(leak, d + 1, n)}) has a nondegenerate "
                 f"term at degree {d} for coefficients {coefficients}"
             )
-        # the keys fill the columns in order; faces goes before the next
-        # degree builds its own
-        counts = [0] * len(cols)
-        for _, x in keys:
-            counts[cols[x]] += 1
-        rowidx = array("q", [i for i, _ in keys])
-        values = [faces[key] for key in keys]
-        del faces, keys
-        boundaries.append(SparseIntMatrix._raw(
-            len(rows), array("q", accumulate(counts, initial=0)), rowidx, values))
+        # a column leaves faces as it is stored, so its entries are held once
+        empty: dict[int, int] = {}
+        boundaries.append(SparseIntMatrix._columns(
+            len(rows), (faces.pop(x, empty) for x in cols)))
     _check_dd(boundaries, "quotient ")
     return ChainComplex(n, ms.ops, coefficients, augmented, boundaries)
 
@@ -370,10 +367,9 @@ def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = Fa
 def left_normed_tuple_map(op: BinaryOpTable, degree: int) -> SparseIntMatrix:
     """Basis map (x_0..x_d) -> (x_0*..*x_d, x_1*..*x_d, ..., x_d) as a matrix."""
     n = op.size
-    m = n ** (degree + 1)
-    rowidx = array("q", [basis_index(suffix_products(op, tup), n)
-                         for tup in product(range(n), repeat=degree + 1)])
-    return SparseIntMatrix._raw(m, array("q", range(m + 1)), rowidx, [1] * m)
+    return SparseIntMatrix._columns(n ** (degree + 1), (
+        {basis_index(suffix_products(op, tup), n): 1}
+        for tup in product(range(n), repeat=degree + 1)))
 
 
 def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int) -> SparseIntMatrix:

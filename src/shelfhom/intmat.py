@@ -2,12 +2,14 @@
 
 Column j holds the rows rowidx[colptr[j]:colptr[j+1]] (array('q')) in the
 order it was built, with the nonzero values at the same positions of a list
-of Python ints, so every entry stays exact.  Matrices are treated as
+of Python ints, so every entry stays exact.  Only this module reads or
+writes that layout: a matrix is built from its columns, each a dict
+{row: nonzero value}, and read through items().  Matrices are treated as
 immutable once built and are safe to share between threads.
 """
 
 from array import array
-from itertools import accumulate, chain, compress, islice, pairwise
+from itertools import accumulate, islice, pairwise
 
 from .errors import OutOfRange, SizeMismatch
 
@@ -19,24 +21,32 @@ class SparseIntMatrix:
         """From a dict {(row, col): value}; each column keeps its keys' order."""
         if nrows < 0 or ncols < 0:
             raise OutOfRange("matrix dimensions must be nonnegative")
-        columns = [[] for _ in range(ncols)]
+        columns = [{} for _ in range(ncols)]
         for (i, j), v in (data or {}).items():
             if not 0 <= i < nrows or not 0 <= j < ncols:
                 raise OutOfRange(f"entry ({i},{j}) outside {nrows}x{ncols}")
             if v:
-                columns[j].append((i, v))
-        self.nrows, self.ncols = nrows, ncols
-        self.colptr = array("q", accumulate(map(len, columns), initial=0))
-        self.rowidx = array("q", [i for col in columns for i, _ in col])
-        self.values = [v for col in columns for _, v in col]
+                columns[j][i] = v
+        self._fill(nrows, columns)
 
     @classmethod
-    def _raw(cls, nrows, colptr, rowidx, values) -> "SparseIntMatrix":
-        """Internal fast path: trusted arrays without zeros."""
+    def _columns(cls, nrows, columns) -> "SparseIntMatrix":
+        """Internal fast path: the columns in order, each a trusted dict
+        {row: nonzero value} in the order its entries are stored."""
         m = cls.__new__(cls)
-        m.nrows, m.ncols = nrows, len(colptr) - 1
-        m.colptr, m.rowidx, m.values = colptr, rowidx, values
+        m._fill(nrows, columns)
         return m
+
+    def _fill(self, nrows, columns):
+        # lists grow faster than arrays, and array() takes a list in one step
+        colptr, rowidx, values = [0], [], []
+        for col in columns:
+            if col:
+                rowidx += col
+                values += col.values()
+            colptr.append(len(values))
+        self.nrows, self.ncols = nrows, len(colptr) - 1
+        self.colptr, self.rowidx, self.values = array("q", colptr), array("q", rowidx), values
 
     @property
     def shape(self):
@@ -64,40 +74,31 @@ class SparseIntMatrix:
         """Entries as (row, col, value), sorted for deterministic output."""
         return sorted(zip(self.rowidx, self.colidx(), self.values))
 
-    def without_rows(self, drop) -> "SparseIntMatrix":
-        """The same shape with the entries on the rows in ``drop`` removed."""
-        keep = [i not in drop for i in self.rowidx]
-        before = list(accumulate(keep, initial=0))
-        # array() takes a list in one step but an iterator item by item
-        return SparseIntMatrix._raw(
-            self.nrows, array("q", [before[p] for p in self.colptr]),
-            array("q", list(compress(self.rowidx, keep))), list(compress(self.values, keep)))
-
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
             raise SizeMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        return SparseIntMatrix._columns(self.nrows, self._product_columns(other))
+
+    def _product_columns(self, other):
+        """The columns of self @ other, one per column of other, which is
+        streamed in stored order; terms that cancel leave the column at once."""
         pairs = list(zip(self.rowidx, self.values))
-        cols_of_self = [pairs[p:q] for p, q in pairwise(self.colptr)] + [[]]
-        colptr, rowidx, values = [0], [], []
-        # other's entries in stored order: a product column is stored when other's
-        # column ends, and a last term on the empty column self.ncols ends the rest
-        ends = islice(other.colptr, 1, None)
-        end, acc = next(ends, None), {}
-        for t, (j, b) in enumerate(chain(zip(other.rowidx, other.values), [(self.ncols, 0)])):
-            while t == end:
-                if acc:
-                    rowidx.extend(acc)
-                    values.extend(acc.values())
-                    acc = {}
-                colptr.append(len(values))
-                end = next(ends, None)
-            for i, a in cols_of_self[j]:
-                s = acc.get(i, 0) + a * b
-                if s:
-                    acc[i] = s
-                else:
-                    del acc[i]
-        return SparseIntMatrix._raw(self.nrows, array("q", colptr), array("q", rowidx), values)
+        cols_of_self = [pairs[p:q] for p, q in pairwise(self.colptr)]
+        entries = zip(other.rowidx, other.values)
+        acc = {}
+        for p, q in pairwise(other.colptr):
+            for j, b in islice(entries, q - p):
+                for i, a in cols_of_self[j]:
+                    s = acc.get(i, 0) + a * b
+                    if s:
+                        acc[i] = s
+                    else:
+                        del acc[i]
+            # the consumer reads each column before the next, so an empty
+            # column is handed over again rather than made anew
+            yield acc
+            if acc:
+                acc = {}
 
     def __eq__(self, other):
         return (isinstance(other, SparseIntMatrix) and self.shape == other.shape

@@ -19,7 +19,6 @@ of the shelf.
 
 from __future__ import annotations
 
-from array import array
 from itertools import combinations, product
 
 from .chain import boundary_matrix
@@ -117,11 +116,9 @@ def simplicial_boundary_matrix(simplices, degree: int) -> SparseIntMatrix:
         return SparseIntMatrix(0, len(cols))
     rows = {s: i for i, s in enumerate(simplices[degree - 1])}
     # every column holds its degree + 1 faces, each on its own row
-    rowidx = array("q", [rows[simplex[:i] + simplex[i + 1:]]
-                         for simplex in cols for i in range(degree + 1)])
-    colptr = array("q", range(0, len(rowidx) + 1, degree + 1))
-    signs = [-1 if i % 2 else 1 for i in range(degree + 1)]
-    return SparseIntMatrix._raw(len(rows), colptr, rowidx, signs * len(cols))
+    return SparseIntMatrix._columns(len(rows), (
+        {rows[simplex[:i] + simplex[i + 1:]]: -1 if i % 2 else 1 for i in range(degree + 1)}
+        for simplex in cols))
 
 
 def simplicial_groups(simplices) -> list[dict]:
@@ -164,14 +161,10 @@ def simplicial_projection_map(shelf: Shelf, degree: int) -> SparseIntMatrix:
 def _projection_matrix(shelf: Shelf, simplices, degree: int) -> SparseIntMatrix:
     n = shelf.size
     simplex_rows = {s: i for i, s in enumerate(simplices[degree])}
-    colptr, rowidx, values = [0], [], []
-    for tup in product(range(n), repeat=degree + 1):
-        verts = suffix_products(shelf.table, tup)
-        if len(set(verts)) == len(verts):
-            rowidx.append(simplex_rows[tuple(sorted(verts))])
-            values.append(_sort_sign(verts))
-        colptr.append(len(values))
-    return SparseIntMatrix._raw(len(simplex_rows), array("q", colptr), array("q", rowidx), values)
+    verts = (suffix_products(shelf.table, tup) for tup in product(range(n), repeat=degree + 1))
+    return SparseIntMatrix._columns(len(simplex_rows), (
+        {simplex_rows[tuple(sorted(v))]: _sort_sign(v)} if len(set(v)) == len(v) else {}
+        for v in verts))
 
 
 def _sort_sign(seq) -> int:

@@ -19,10 +19,11 @@ Each unit pivot (s, t) of a boundary d_k taken before the first Euclid step
 is an elementary reduction of the chain complex (Kaczynski, Mrozek and
 Slusarek 1998): the column operations that clear row s change only row t of
 the next boundary d_{k+1}, and d_k o d_{k+1} = 0 makes that row zero in the
-new basis.  So homology_from_boundaries walks d_0, d_1, ... upward and,
-before reducing d_{k+1}, drops the rows that d_k's unit pivots paired; the
-factors do not change.  The column operations of a Euclid step also change
-rows of d_{k+1} that stay, so the pairing stops at the first such step.
+new basis.  So homology_from_boundaries walks d_0, d_1, ... upward and
+reduces d_{k+1} without the rows that d_k's unit pivots paired: the SNF
+skips them as it reads the matrix, and the factors do not change.  The
+column operations of a Euclid step also change rows of d_{k+1} that stay,
+so the pairing stops at the first such step.
 
 Only the factors are produced; the unimodular transforms are never needed
 here.  All arithmetic is on Python ints, so nothing overflows.
@@ -76,18 +77,17 @@ def homology_from_boundaries(boundaries) -> list[dict]:
 
     rank H_d = dim C_d - rank d_d - rank d_{d+1}, where dim C_d is the column
     count of d_d, and the torsion of H_d is that of d_{d+1}.  Each boundary
-    is reduced exactly once, from d_0 upward, and before its reduction
-    d_{d+1} loses the rows that d_d's unit pivots paired (see the module
-    docstring); it keeps its shape, so its factors and the formula are
-    unchanged.  This needs d_d o d_{d+1} = 0, which the chain builders check
-    and a face-closed simplicial complex satisfies by construction.
+    is reduced exactly once, from d_0 upward, and the rows of d_{d+1} that
+    d_d's unit pivots paired are handed to the SNF, which skips them (see
+    the module docstring); the matrix keeps its shape, so its factors and
+    the formula are unchanged.  This needs d_d o d_{d+1} = 0, which the
+    chain builders check and a face-closed simplicial complex satisfies by
+    construction.
     """
     forms = []
     paired = frozenset()
     for mat in boundaries:
-        if paired:
-            mat = mat.without_rows(paired)
-        forms.append(smith_normal_form(mat))
+        forms.append(smith_normal_form(mat, paired))
         paired = forms[-1].paired
     groups = []
     for d in range(len(forms) - 1):
@@ -98,11 +98,15 @@ def homology_from_boundaries(boundaries) -> list[dict]:
     return groups
 
 
-def smith_normal_form(mat: SparseIntMatrix) -> SmithForm:
+def smith_normal_form(mat: SparseIntMatrix, drop=frozenset()) -> SmithForm:
+    """The invariant factors of mat with the rows in ``drop`` zeroed: those
+    rows are skipped as the entries are read, in stored order."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     # no throwaway dict or set per entry
-    for i, j, v in zip(mat.rowidx, mat.colidx(), mat.values):
+    for (i, j), v in mat.items():
+        if i in drop:
+            continue
         r = rows.get(i)
         if r is None:
             rows[i] = {j: v}

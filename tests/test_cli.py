@@ -790,8 +790,8 @@ def test_negative_free_rank_is_exit_4_not_a_traceback(tmp_path, capsys, monkeypa
 
     real = snf.smith_normal_form
 
-    def padded(mat):
-        form = real(mat)
+    def padded(mat, drop):
+        form = real(mat, drop)
         return snf.SmithForm((1,) * 50 + form.factors, form.paired)
 
     monkeypatch.setattr(snf, "smith_normal_form", padded)

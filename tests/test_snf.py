@@ -285,8 +285,8 @@ def test_walk_factor_digests_are_pinned(structures, kind, maxdeg, digest,
         shelves = [Shelf(BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n))]
     calls = []
 
-    def recorded(mat):
-        sf = smith_normal_form(mat)
+    def recorded(mat, drop):
+        sf = smith_normal_form(mat, drop)
         calls.append((mat.shape, sf.factors))
         return sf
 
@@ -400,6 +400,25 @@ def test_walk_stops_pairing_at_the_first_non_unit_step():
         {"degree": 0, "rank": 0, "torsion": []},
         {"degree": 1, "rank": 0, "torsion": []},
     ]
+
+
+def test_dropped_rows_are_skipped_like_zero_rows():
+    # smith_normal_form(m, drop) has the factors of m with the rows in drop
+    # zeroed, for no row, some rows and every row; the walk hands it the
+    # rows that the unit pivots of the boundary below paired
+    rng = random.Random(20261020)
+    for _ in range(150):
+        nrows, ncols = rng.randint(2, 8), rng.randint(1, 8)
+        rows = [[rng.choice((1, -1, 1, -1, 2, -3)) if rng.random() < 0.6 else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        m = oracles.from_dense(rows)
+        some = frozenset(rng.sample(range(nrows), rng.randint(1, nrows - 1)))
+        for drop in (frozenset(), some, frozenset(range(nrows))):
+            zeroed = [[0] * ncols if i in drop else row for i, row in enumerate(rows)]
+            assert smith_normal_form(m, drop).factors == \
+                oracles.dense_smith_factors(zeroed), (rows, drop)
+        assert smith_normal_form(m, frozenset()) == smith_normal_form(m)
+        assert smith_normal_form(m, frozenset(range(nrows))).factors == ()
 
 
 def test_triplet_csv_round_trip():
