@@ -7,7 +7,6 @@ from .chain import (
     basis_index,
     boundary_matrix,
     build_complex,
-    homology_groups,
     index_tuple,
     preset_complex,
     preset_homology,
@@ -35,7 +34,7 @@ from .simplicial import (
     simplicial_groups,
     simplicial_projection_map,
 )
-from .snf import SmithForm, smith_normal_form
+from .snf import SmithForm, homology_from_boundaries, smith_normal_form
 from .tables import (
     BinaryOpTable,
     MultiShelf,

@@ -27,7 +27,6 @@ from .errors import (
     DDNotZero,
     DegenerateNotSubcomplex,
     DegreeNegative,
-    DegreeOutOfRange,
     InputError,
     MemoryCapExceeded,
     NotASpindle,
@@ -71,14 +70,6 @@ def index_tuple(index: int, length: int, size: int) -> tuple[int, ...]:
         index, r = divmod(index, size)
         out.append(r)
     return tuple(reversed(out))
-
-
-def as_multishelf(structure) -> MultiShelf:
-    if isinstance(structure, MultiShelf):
-        return structure
-    if isinstance(structure, Shelf):
-        return MultiShelf((structure.table,))
-    raise SizeMismatch(f"expected Shelf or MultiShelf, got {type(structure).__name__}")
 
 
 def _face_tables(ms, coefficients, degree):
@@ -138,7 +129,6 @@ def boundary_matrix(ms, coefficients, degree: int, augmented: bool = True) -> Sp
     the augmentation row when ``augmented`` and the empty 0 x n matrix
     otherwise.
     """
-    ms = as_multishelf(ms)
     n = ms.size
     coefficients = tuple(coefficients)
     if len(coefficients) != len(ms.ops):
@@ -174,11 +164,6 @@ class ChainComplex(Value):
         """dims[d] is the rank of C_d, the column count of d_d."""
         return tuple(mat.ncols for mat in self.boundaries)
 
-    def boundary(self, degree: int) -> SparseIntMatrix:
-        if not 0 <= degree <= self.maxdeg:
-            raise DegreeOutOfRange(f"degree {degree} outside 0..{self.maxdeg}")
-        return self.boundaries[degree]
-
     def __repr__(self):
         return (f"ChainComplex(n={self.size}, ops={len(self.ops)}, "
                 f"maxdeg={self.maxdeg}, augmented={self.augmented})")
@@ -212,7 +197,6 @@ def _check_dd(boundaries, label=""):
 def build_complex(ms, coefficients, maxdeg: int, augmented: bool = True,
                   cap: int = DEFAULT_MEMORY_CAP) -> ChainComplex:
     """Build d_0..d_maxdeg and verify d o d = 0 before returning."""
-    ms = as_multishelf(ms)
     if maxdeg < 0:
         raise DegreeNegative(f"maxdeg {maxdeg} < 0")
     check_memory_cap(ms.size, maxdeg, cap)
@@ -222,18 +206,6 @@ def build_complex(ms, coefficients, maxdeg: int, augmented: bool = True,
     ]
     _check_dd(boundaries)
     return ChainComplex(ms.size, ms.ops, coefficients, augmented, boundaries)
-
-
-def homology_groups(cx: ChainComplex, through_degree: int) -> list[dict]:
-    """H_0..H_through_degree as the {"degree", "rank", "torsion"} records of
-    :func:`homology_from_boundaries`; H_d needs d_{d+1}, so the complex must
-    be built at least one degree past the last one requested."""
-    if not 0 <= through_degree <= cx.maxdeg - 1:
-        raise DegreeOutOfRange(
-            f"homology through degree {through_degree} needs boundaries "
-            f"0..{through_degree + 1}, but the complex stops at {cx.maxdeg}"
-        )
-    return homology_from_boundaries(cx.boundaries[:through_degree + 2])
 
 
 # kind -> (coefficients, augmented by default); "multi" differentiates with
@@ -273,7 +245,7 @@ def preset_homology(structure, kind: str, maxdeg: int, coefficients=None,
                     cap: int = DEFAULT_MEMORY_CAP) -> list[dict]:
     """H_0..H_maxdeg of :func:`preset_complex`."""
     cx = preset_complex(structure, kind, maxdeg, coefficients, augmented, cap)
-    return homology_groups(cx, maxdeg)
+    return homology_from_boundaries(cx.boundaries)
 
 
 def _quotient_faces(ms, coefficients, degree, kept):
@@ -330,7 +302,6 @@ def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = Fa
     because quandle homology, the preset (op, identity) under (1, -1), is
     its best-known case and callers look the function up by that name.
     """
-    ms = as_multishelf(ms)
     if not all(is_spindle(op) for op in ms.ops):
         raise NotASpindle("degenerate chains only form a subcomplex for spindles")
     if maxdeg < 0:
@@ -382,7 +353,6 @@ def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int) -> Spar
     The degree is held to build_complex's basis cap; for degree >= 1 the
     matrix is verified to commute with the two boundaries.
     """
-    target = as_multishelf(target)
     if star1.size != target.size:
         raise ChainMapViolation("carrier sizes differ")
     if len(coefficients) != len(target.ops):

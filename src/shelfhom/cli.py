@@ -17,11 +17,12 @@ import sys
 
 from . import errors
 from .census import CANONICAL_SIZE_LIMIT, canonical_form, enumerate_shelves
-from .chain import DEFAULT_MEMORY_CAP, PRESETS, as_multishelf, homology_groups, preset_complex
+from .chain import DEFAULT_MEMORY_CAP, PRESETS, preset_complex
 from .io import dump_report, finish_report, load_structure, structure_to_doc
 from .orbits import classify, left_orbits, orbit_quotient
 from .scans import scan_boolean, scan_example4, scan_growth, scan_hyperplane, torsion_hunt
 from .simplicial import build_shelf_complex, components, maximal_simplices, simplicial_groups
+from .snf import homology_from_boundaries
 from .tables import MultiShelf, Shelf
 
 
@@ -179,8 +180,7 @@ def cmd_homology(args):
         structure = _need_input(args)
         if not args.coefficients:
             raise errors.ParseError("kind=multi needs --coefficients")
-        coeffs = _parse_coefficients(args.coefficients,
-                                     len(as_multishelf(structure).ops))
+        coeffs = _parse_coefficients(args.coefficients, len(structure.ops))
     elif args.coefficients:
         raise errors.ParseError("--coefficients only applies to kind=multi")
     else:
@@ -190,10 +190,10 @@ def cmd_homology(args):
     if args.export_matrices:
         try:
             os.makedirs(args.export_matrices, exist_ok=True)
-            for d in range(cx.maxdeg + 1):
+            for d, mat in enumerate(cx.boundaries):
                 path = os.path.join(args.export_matrices, f"d{d}.csv")
                 with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(cx.boundary(d).to_csv_text())
+                    handle.write(mat.to_csv_text())
         except OSError as exc:
             raise errors.ParseError(
                 f"cannot write {args.export_matrices}: {exc}"
@@ -203,7 +203,7 @@ def cmd_homology(args):
         "kind": args.kind,
         "coefficients": list(cx.coefficients),
         "augmented": cx.augmented,
-        "groups": homology_groups(cx, maxdeg),
+        "groups": homology_from_boundaries(cx.boundaries),
     }
 
 
@@ -259,7 +259,7 @@ def cmd_scan(args):
         return scan_example4(size, **given)
     if args.which == "boolean":
         return scan_boolean(1 if args.omega is None else args.omega, **given)
-    return scan_hyperplane(as_multishelf(_need_input(args)), **given)
+    return scan_hyperplane(_need_input(args), **given)
 
 
 def cmd_torsion_hunt(args):

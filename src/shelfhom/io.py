@@ -11,21 +11,15 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .tables import BinaryOpTable, MultiShelf, Shelf, validate_multishelf, validate_shelf
+from .tables import BinaryOpTable, validate_multishelf, validate_shelf
 
 SCHEMA_VERSION = 1
 
 
 def structure_to_doc(structure) -> dict:
-    if isinstance(structure, Shelf):
-        ops = [structure.table]
-    elif isinstance(structure, MultiShelf):
-        ops = list(structure.ops)
-    else:
-        raise TypeError(f"cannot serialize {type(structure).__name__}")
     return {
-        "size": ops[0].size,
-        "ops": [[list(row) for row in op.entries] for op in ops],
+        "size": structure.size,
+        "ops": [[list(row) for row in op.entries] for op in structure.ops],
     }
 
 

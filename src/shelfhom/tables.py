@@ -77,6 +77,11 @@ class Shelf(Value):
     def size(self) -> int:
         return self.table.size
 
+    @property
+    def ops(self) -> tuple[BinaryOpTable]:
+        """The one-operation family, read as a MultiShelf's ``ops``."""
+        return (self.table,)
+
     def apply(self, x: int, y: int) -> int:
         return self.table.entries[x][y]
 

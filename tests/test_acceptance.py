@@ -121,8 +121,8 @@ def test_criterion_03_chain_complex_laws(labelled_by_size):
             coeffs = tuple(rng.randint(-3, 3) for _ in ms.ops)
             cx = build_complex(ms, coeffs, 4, augmented=True)
             for d in range(1, 5):
-                assert cx.boundary(d - 1).matmul(cx.boundary(d)).is_zero()
-            assert cx.boundary(0).matmul(cx.boundary(1)).is_zero()
+                assert cx.boundaries[d - 1].matmul(cx.boundaries[d]).is_zero()
+            assert cx.boundaries[0].matmul(cx.boundaries[1]).is_zero()
             built += 1
 
         # d^k d^l = -d^l d^k over every validated 2-op multi-shelf, size <= 3

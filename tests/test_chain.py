@@ -11,7 +11,6 @@ from shelfhom.chain import (
     basis_index,
     boundary_matrix,
     build_complex,
-    homology_groups,
     index_tuple,
     preset_complex,
     preset_homology,
@@ -21,7 +20,6 @@ from shelfhom.errors import (
     DDNotZero,
     DegenerateNotSubcomplex,
     DegreeNegative,
-    DegreeOutOfRange,
     MemoryCapExceeded,
     NotASpindle,
     OutOfRange,
@@ -161,7 +159,7 @@ def test_augmentation_row():
 def test_build_complex_verifies_dd_zero():
     cx = build_complex(EXCEPTIONAL3, (1,), 3, augmented=True)
     for d in range(1, 4):
-        assert cx.boundary(d - 1).matmul(cx.boundary(d)).is_zero()
+        assert cx.boundaries[d - 1].matmul(cx.boundaries[d]).is_zero()
 
 
 def test_dd_check_fires_on_a_corrupted_entry(monkeypatch):
@@ -213,8 +211,8 @@ def test_huge_coefficients_scale_the_invariant_factors():
     huge = build_complex(DIHEDRAL3, (c,), 4)
     unit = build_complex(DIHEDRAL3, (1,), 4)
     for k in range(1, 5):
-        assert snf.smith_normal_form(huge.boundary(k)).factors == tuple(
-            c * f for f in snf.smith_normal_form(unit.boundary(k)).factors), k
+        assert snf.smith_normal_form(huge.boundaries[k]).factors == tuple(
+            c * f for f in snf.smith_normal_form(unit.boundaries[k]).factors), k
 
 
 def test_quotient_build_peak_memory_is_bounded():
@@ -247,11 +245,11 @@ def test_r5_quotient_build_peak_memory_is_bounded():
 def test_boolean_zero_differential_complex():
     ms = boolean_multishelf(1)
     cx = build_complex(ms, (0, 0, 0, 0), 3, augmented=True)
-    assert not cx.boundary(0).is_zero()  # the augmentation row survives
+    assert not cx.boundaries[0].is_zero()  # the augmentation row survives
     for d in range(1, 4):
-        assert cx.boundary(d).is_zero()
+        assert cx.boundaries[d].is_zero()
     # homology is then the full chain group away from the augmentation
-    assert [g["rank"] for g in homology_groups(cx, 1)] == [1, 4]
+    assert [g["rank"] for g in snf.homology_from_boundaries(cx.boundaries[:3])] == [1, 4]
 
 
 def test_homology_right_trivial_matches_formula():
@@ -277,13 +275,51 @@ def test_homology_of_racks_vanishes():
         assert all((g["rank"], g["torsion"]) == (0, []) for g in preset_homology(shelf, "shelf", 3))
 
 
-def test_homology_degree_window():
-    cx = build_complex(EXCEPTIONAL3, (1,), 2, augmented=True)
-    assert len(homology_groups(cx, 1)) == 2
-    with pytest.raises(DegreeOutOfRange):
-        homology_groups(cx, 2)
-    with pytest.raises(DegreeOutOfRange):
-        homology_groups(cx, -1)
+def test_walk_returns_one_record_per_determined_degree():
+    # H_d needs d_{d+1}, so boundaries d_0..d_m determine H_0..H_{m-1}, and
+    # a complex built through d_0 alone has no group
+    builds = [
+        lambda m: build_complex(EXCEPTIONAL3, (1,), m),
+        lambda m: quandle_quotient_complex(_pair(DIHEDRAL3.table), (1, -1), m),
+        lambda m: preset_complex(EXCEPTIONAL3, "shelf", m),
+        lambda m: preset_complex(DIHEDRAL3, "rack", m),
+        lambda m: preset_complex(DIHEDRAL3, "quandle", m),
+    ]
+    for build in builds:
+        for maxdeg in range(4):
+            cx = build(maxdeg)
+            groups = snf.homology_from_boundaries(cx.boundaries)
+            assert [g["degree"] for g in groups] == list(range(cx.maxdeg))
+
+
+def _complex_data(cx):
+    """A complex's boundaries, entries in stored order, and its walk records."""
+    return ([(mat.shape, list(mat.items())) for mat in cx.boundaries],
+            snf.homology_from_boundaries(cx.boundaries))
+
+
+def test_a_shelf_reads_as_its_one_operation_family(classes3):
+    from shelfhom.io import structure_to_doc
+    from shelfhom.orbits import is_spindle
+
+    assert len(classes3) == 48
+    spindles = 0
+    for s in classes3:
+        one = MultiShelf((s.table,))
+        assert s.ops == (s.table,) and s.ops[0] is s.table
+        with pytest.raises(AttributeError):
+            s.ops = one.ops
+        for d in range(4):
+            assert (list(boundary_matrix(s, (1,), d).items())
+                    == list(boundary_matrix(one, (1,), d).items())), (s, d)
+        assert _complex_data(build_complex(s, (1,), 3)) == _complex_data(
+            build_complex(one, (1,), 3)), s
+        if is_spindle(s.table):
+            spindles += 1
+            assert _complex_data(quandle_quotient_complex(s, (1,), 3)) == _complex_data(
+                quandle_quotient_complex(one, (1,), 3)), s
+        assert structure_to_doc(s) == structure_to_doc(one)
+    assert spindles > 0
 
 
 def test_preset_exceptional_shelf_table():
@@ -363,7 +399,7 @@ def test_quandle_quotient_dimensions():
     cx = quandle_quotient_complex(_pair(DIHEDRAL3.table), (1, -1), 3)
     assert cx.dims == tuple(n * (n - 1) ** d if d else n for d in range(4))
     for d in range(1, 4):
-        assert cx.boundary(d - 1).matmul(cx.boundary(d)).is_zero()
+        assert cx.boundaries[d - 1].matmul(cx.boundaries[d]).is_zero()
 
 
 def test_quandle_quotient_against_dense_oracle(labelled_by_size):
@@ -391,9 +427,9 @@ def test_quandle_quotient_matrices_against_dense_oracle(labelled_by_size):
     for table, maxdeg in cases:
         cx = quandle_quotient_complex(_pair(table), (1, -1), maxdeg)
         rows = [list(r) for r in table.entries]
-        assert oracles.to_dense(cx.boundary(0)) == []
+        assert oracles.to_dense(cx.boundaries[0]) == []
         for d in range(1, maxdeg + 1):
-            assert oracles.to_dense(cx.boundary(d)) == oracles.dense_quandle_boundary(
+            assert oracles.to_dense(cx.boundaries[d]) == oracles.dense_quandle_boundary(
                 rows, d
             ), (table, d)
 
@@ -448,13 +484,13 @@ def test_degenerate_splitting_and_quotient_against_dense_blocks(labelled_by_size
                 leak, _ = blocks[False, True]
                 assert not any(map(any, leak)), (ms, coefficients, d)
                 nondeg, width = blocks[False, False]
-                got = quotient.boundary(d)
+                got = quotient.boundaries[d]
                 assert got.shape == (len(nondeg), width)
                 assert oracles.to_dense(got) == nondeg, (ms, coefficients, augmented, d)
                 degenerate.append(oracles.from_dense(*blocks[True, True]))
             full = build_complex(ms, coefficients, maxdeg, augmented)
-            for h, hn, hd in zip(homology_groups(full, maxdeg - 1),
-                                 homology_groups(quotient, maxdeg - 1),
+            for h, hn, hd in zip(snf.homology_from_boundaries(full.boundaries),
+                                 snf.homology_from_boundaries(quotient.boundaries),
                                  snf.homology_from_boundaries(degenerate)):
                 assert h["rank"] == hn["rank"] + hd["rank"], (ms, coefficients, h["degree"])
                 assert _primary_parts(h["torsion"]) == sorted(
@@ -576,7 +612,7 @@ def test_quandle_dihedral5_matches_nosaka_through_degree_4(monkeypatch):
 
     monkeypatch.setattr(snf, "smith_normal_form", recording)
     cx = preset_complex(DIHEDRAL5, "quandle", 4)
-    groups = homology_groups(cx, 4)
+    groups = snf.homology_from_boundaries(cx.boundaries)
     assert [(g["rank"], g["torsion"]) for g in groups] == [
         (1, []), (0, []), (0, [5]), (0, [5]), (0, [5]),
     ]
@@ -664,7 +700,7 @@ def test_random_configurations_satisfy_chain_laws(labelled_by_size):
     for ms, coeffs in _random_multishelves(rng, labelled_by_size, 60):
         cx = build_complex(ms, coeffs, 4, augmented=True)
         for d in range(1, 5):
-            assert cx.boundary(d - 1).matmul(cx.boundary(d)).is_zero()
+            assert cx.boundaries[d - 1].matmul(cx.boundaries[d]).is_zero()
 
 
 def test_partial_differentials_anticommute_on_samples(labelled_by_size):
@@ -710,14 +746,15 @@ def test_homology_invariant_under_basis_permutation():
 
     from shelfhom.chain import ChainComplex
 
-    boundaries = [cx.boundary(0)]
+    boundaries = [cx.boundaries[0]]
     boundaries[0] = SparseIntMatrix(
-        1, n, {(0, perms[0][j]): v for (_, j), v in cx.boundary(0).items()}
+        1, n, {(0, perms[0][j]): v for (_, j), v in cx.boundaries[0].items()}
     )
     for d in range(1, 4):
-        boundaries.append(permuted(cx.boundary(d), perms[d - 1], perms[d]))
+        boundaries.append(permuted(cx.boundaries[d], perms[d - 1], perms[d]))
     shuffled = ChainComplex(
         size=n, ops=cx.ops, coefficients=cx.coefficients,
         augmented=True, boundaries=boundaries,
     )
-    assert homology_groups(shuffled, 2) == homology_groups(cx, 2)
+    assert (snf.homology_from_boundaries(shuffled.boundaries)
+            == snf.homology_from_boundaries(cx.boundaries))

@@ -7,7 +7,6 @@ import oracles
 from shelfhom.chain import (
     F_chain_map,
     build_complex,
-    homology_groups,
     left_normed_tuple_map,
 )
 from shelfhom.errors import (
@@ -19,6 +18,7 @@ from shelfhom.errors import (
 )
 from shelfhom.families import boolean_multishelf
 from shelfhom.simplicial import simplicial_projection_map
+from shelfhom.snf import homology_from_boundaries
 from shelfhom.tables import (
     BinaryOpTable,
     MultiShelf,
@@ -152,8 +152,8 @@ def test_f_map_invertible_swap_left():
     source = build_complex(
         Shelf(compose_ops(swap, swap)), (1,), 3, augmented=True
     )
-    ranks_source = [g["rank"] for g in homology_groups(source, 2)]
-    ranks_target = [g["rank"] for g in homology_groups(target, 2)]
+    ranks_source = [g["rank"] for g in homology_from_boundaries(source.boundaries)]
+    ranks_target = [g["rank"] for g in homology_from_boundaries(target.boundaries)]
     for d in range(3):
         f = F_chain_map(swap, Shelf(swap), (1,), d)
         cols = {}
@@ -185,8 +185,8 @@ def test_f_map_kamada_mechanism():
     )
     for d in range(3):
         F_chain_map(inv, target_ms, (1, -1), d)  # raises on any failure
-    assert [g["rank"] for g in homology_groups(source, 2)] == [
-        g["rank"] for g in homology_groups(target, 2)
+    assert [g["rank"] for g in homology_from_boundaries(source.boundaries)] == [
+        g["rank"] for g in homology_from_boundaries(target.boundaries)
     ]
 
 

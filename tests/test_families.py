@@ -283,8 +283,7 @@ def _pin_outcome(name, build):
         built = build()
     except (SpecPreconditionFailed, EmptyList, RetractionNotIdentityOnA) as exc:
         return (name, type(exc).__name__, str(exc))
-    ops = built.ops if isinstance(built, MultiShelf) else (built.table,)
-    return (name, [op.flat() for op in ops])
+    return (name, [op.flat() for op in built.ops])
 
 
 def test_family_tables_and_refusals_are_pinned():

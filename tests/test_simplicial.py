@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from shelfhom import snf
-from shelfhom.chain import homology_groups, preset_complex
+from shelfhom.chain import preset_complex
 from shelfhom.errors import CapExceeded, DegreeOutOfRange, FaceNotGenerated
 from shelfhom.orbits import left_orbits
 from shelfhom.simplicial import (
@@ -179,7 +179,7 @@ def test_each_boundary_is_reduced_once(reduced):
     rack3 = validate_shelf(BinaryOpTable.from_function(3, lambda x, y: (2 * y - x) % 3))
     for kind in ("shelf", "rack", "quandle"):
         cx = preset_complex(rack3, kind, 3)
-        assert len(homology_groups(cx, 3)) == 4
+        assert len(snf.homology_from_boundaries(cx.boundaries)) == 4
         assert len(reduced) == len(cx.boundaries)
         assert all(mat is full for (mat, _), full in zip(reduced, cx.boundaries))
         assert not reduced[0][1]
