@@ -7,9 +7,10 @@ backtracks over table entries in row-major order, checking every instance
 of the distributivity law as soon as its five lookups are determined.  The
 census runs the same recursion as orderly generation (Read 1978; McKay
 1998), so each class's canonical table is the only one of its class to come
-out, and it stands for the class as a certified Shelf.  Canonical form and
-the census's prune share one comparator, which compares relabelled rows in
-order and stops at the first row that differs.
+out, and it stands for the class as a certified Shelf.  Canonical form is a
+search pruned by the lex order and the automorphisms it finds (McKay and
+Piperno 2014); the census's prune compares relabelled rows of a partial
+table in order and stops at the first row that differs.
 """
 
 from __future__ import annotations
@@ -43,17 +44,93 @@ def _smaller(t, perm, pinv, target, r: int) -> bool:
 
 
 def canonical_form(table: BinaryOpTable) -> BinaryOpTable:
-    """Lexicographic minimum over all n! relabellings (guarded at n = 8)."""
+    """Lexicographic minimum over all relabellings (guarded at n = 8).
+
+    Depth-first, writing the image row-major: a label with no source yet
+    branches over the unlabelled sources that give the least entry, a value
+    with no label takes the least free one, and a branch ends at its first
+    entry above the best table.  A row tail that maps the unlabelled sources
+    to themselves, or all to one labelled source, needs no branch.  A leaf
+    that ties the best gives an automorphism, and a branch tries one source
+    per orbit of the automorphisms found that fix every labelled source.
+    """
     n = table.size
     if n > CANONICAL_SIZE_LIMIT:
         raise PracticalSizeLimit(
             f"canonical form is factorial in n; refusing n = {n} > {CANONICAL_SIZE_LIMIT}"
         )
-    t = [list(row) for row in table.entries]
-    best = t
-    for perm, pinv in _relabellings(n):
-        if _smaller(t, perm, pinv, best, n):
-            best = [[perm[t[px][py]] for py in pinv] for px in pinv]
+    t = table.entries
+    perm = [-1] * n  # the label of each source, -1 while it has none
+    pinv = []  # the source of each label given so far
+    best = best_pinv = None
+    autos = []
+
+    def extend(i, j, tied):
+        # the entries before (i, j) are written and, when tied, are the best's
+        nonlocal best, best_pinv
+        while True:
+            if j == n:
+                i, j = i + 1, 0
+            m = len(pinv)
+            if i == n or m == n and not tied:
+                if tied:
+                    autos.append([best_pinv[p] for p in perm])
+                else:
+                    best, best_pinv = [[perm[t[px][q]] for q in pinv] for px in pinv], pinv[:]
+                return
+            if i < m and j < m:
+                v = t[pinv[i]][pinv[j]]
+                if perm[v] < 0:  # the least free label
+                    perm[v] = m
+                    pinv.append(v)
+                if tied and perm[v] != best[i][j]:
+                    if perm[v] > best[i][j]:
+                        return
+                    tied = False
+                j += 1
+                continue
+            free = [u for u in range(n) if perm[u] < 0]
+            image = [t[pinv[i]][u] for u in free] if i < m else None
+            if image == free:
+                tail = list(range(j, n))
+            elif image and perm[image[0]] >= 0 and image.count(image[0]) == len(image):
+                tail = [perm[image[0]]] * len(image)
+            else:
+                break
+            if tied:
+                if tail > best[i][j:]:
+                    return
+                tied = tail == best[i][j:]
+            i, j = i + 1, 0
+        # branch over the unlabelled sources u for label m
+        entries = []
+        for u in free:
+            v = t[pinv[i] if i < m else u][pinv[j] if j < m else u]
+            entries.append((perm[v] if perm[v] >= 0 else m + (v != u), u))
+        e = min(entries)[0]
+        if tied and e > best[i][j]:
+            return
+        done = []
+        for f, u in entries:
+            if f != e:
+                continue
+            if done and autos:
+                fixing = [a for a in autos if all(a[x] == x for x in pinv)]
+                orbit = done[:]
+                for x in orbit:
+                    orbit += [a[x] for a in fixing if a[x] not in orbit]
+                if u in orbit:
+                    continue
+            perm[u] = m
+            pinv.append(u)
+            extend(i, j, tied)
+            for x in pinv[m:]:
+                perm[x] = -1
+            del pinv[m:]
+            done.append(u)
+            tied = True  # the first child left a best that shares this prefix
+
+    extend(0, 0, False)
     return BinaryOpTable(tuple(tuple(row) for row in best))
 
 
@@ -89,8 +166,10 @@ def enumerate_shelf_tables(n: int, canonical: bool = False):
         k = max(a * n + b, a * n + c, b * n + c)
         static_group[k].append((a, b, c))
 
-    # every relabelling but the identity, which never beats t
+    # at the end of row x, the relabellings that can beat t: every one but
+    # the identity with pinv[0] < x, as _smaller is False at once for the rest
     relabellings = list(_relabellings(n))[1:] if canonical else []
+    beaters = [[rl for rl in relabellings if rl[1][0] < x] for x in range(n + 1)]
 
     results = []
 
@@ -117,7 +196,7 @@ def enumerate_shelf_tables(n: int, canonical: bool = False):
     def rec(k, pending):
         x, y = divmod(k, n)
         if y == 0 and x and any(_smaller(t, perm, pinv, t, x)
-                                for perm, pinv in relabellings):
+                                for perm, pinv in beaters[x]):
             return
         if k == n2:
             results.append(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from shelfhom.census import canonical_form, enumerate_shelf_tables, enumerate_shelves
 from shelfhom.errors import PracticalSizeLimit
-from shelfhom.families import const_left, intersection_shelf, subtraction_shelf
+from shelfhom.families import const_left, intersection_shelf, pointed_map, subtraction_shelf
 from shelfhom.orbits import classify
 from shelfhom.tables import (
     BinaryOpTable,
@@ -69,13 +69,52 @@ def _dihedral(n):
     return BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n)
 
 
+def _shuffled(table, seed):
+    perm = list(range(table.size))
+    random.Random(seed).shuffle(perm)
+    return relabel(table, perm)
+
+
 # seeded random tables, nearly all of them not shelves, and the dihedral
-# quandles R3, R5 and R7
+# quandles R3, R5 and R7; then the tables that drive the search's pruning:
+# the projections and a constant, whose automorphism groups are large, with
+# the oracle's n! kept to three cases at n = 8; relabelled pointed maps,
+# whose rows tie up to their one map row; relabelled Alexander quandles;
+# repeated rows; and a table whose best leaf changes below a node before
+# that node's later siblings are compared
 LEX_MIN_CASES = {
     **{f"random-n{n}-{seed}": _random_table(n, seed)
        for n in range(1, 7) for seed in range(3)},
     **{f"R{n}": _dihedral(n) for n in (3, 5, 7)},
+    **{f"{name}-n{n}": BinaryOpTable.from_function(n, op)
+       for name, op, sizes in [("right-projection", lambda x, y: y, (6, 8)),
+                               ("left-projection", lambda x, y: x, (6, 8)),
+                               ("constant", lambda x, y: 0, (6,))]
+       for n in sizes},
+    "constant-n7-relabelled": _shuffled(BinaryOpTable.from_function(7, lambda x, y: 0), 1),
+    **{f"pointed-map-n{n}-{seed}": _shuffled(
+        pointed_map(0, [0, *(random.Random(seed).randrange(1, n) for _ in range(n - 1))]).table,
+        seed) for n in (5, 6, 7) for seed in range(2)},
+    "pointed-map-two-2-cycles": _shuffled(pointed_map(0, (0, 2, 1, 4, 3)).table, 2),
+    "pointed-map-3-cycle": pointed_map(1, (0, 1, 4, 2, 3, 5)).table,
+    "pointed-map-3-cycle-with-tree": _shuffled(pointed_map(0, (0, 2, 3, 1, 1, 4, 6)).table, 3),
+    # x*y = a·x + (1 − a)·y on Z_n with a = 3
+    **{f"alexander-Z{n}-a3": _shuffled(
+        BinaryOpTable.from_function(n, lambda x, y: (3 * x - 2 * y) % n), n) for n in (7, 8)},
+    "repeated-rows": _shuffled(BinaryOpTable(
+        ((2, 0, 1, 1, 3),) * 3 + ((4, 4, 0, 1, 2),) * 2), 5),
+    "new-best-below-a-node": BinaryOpTable(((1, 0, 0), (1, 1, 1), (1, 2, 2))),
 }
+
+
+def test_closed_form_canonical_tables_at_the_size_guard():
+    # every relabelling fixes x*y = y and x*y = x and sends x*y = 0 to a
+    # constant table, so each is its own canonical form
+    for op in (lambda x, y: y, lambda x, y: x, lambda x, y: 0):
+        table = BinaryOpTable.from_function(8, op)
+        assert canonical_form(table) == canonical_form(_shuffled(table, 8)) == table
+    assert canonical_form(BinaryOpTable.from_function(8, lambda x, y: 5)) == \
+        BinaryOpTable.from_function(8, lambda x, y: 0)
 
 
 @pytest.mark.parametrize("case", list(LEX_MIN_CASES))

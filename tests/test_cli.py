@@ -756,6 +756,39 @@ def test_one_table_multi_report_has_the_canonical_key(tmp_path, capsys):
     assert multi == {**shelf, "kind": "multi"}
 
 
+def _relabelled_doc(doc, perm):
+    # the table transported along x -> perm[x]
+    rows = doc["ops"][0]
+    out = [[0] * len(rows) for _ in rows]
+    for x, row in enumerate(rows):
+        for y, v in enumerate(row):
+            out[perm[x]][perm[y]] = perm[v]
+    return {"size": doc["size"], "ops": [out]}
+
+
+Z8_ALEXANDER_DOC = {
+    "size": 8,
+    "ops": [[[(3 * x - 2 * y) % 8 for y in range(8)] for x in range(8)]],
+}
+
+
+@pytest.mark.parametrize("doc, kind", [(R7_DOC, "rack"), (Z8_ALEXANDER_DOC, "quandle")],
+                         ids=["R7-rack", "Z8-alexander-quandle"])
+def test_homology_report_is_invariant_under_relabelling(tmp_path, capsys, doc, kind):
+    # the report keys the structure by its canonical table, so a relabelled
+    # copy, here by a permutation that is not an automorphism, prints the
+    # same bytes
+    moved = _relabelled_doc(doc, (1, 0, *range(2, doc["size"])))
+    assert moved != doc
+    outs = []
+    for d in (doc, moved):
+        code, out, err = run(capsys, "homology", "--kind", kind, "--maxdeg", "1",
+                             "--input", write(tmp_path, d), "--no-timestamp")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_scan_with_jobs_flag_matches_sequential(capsys):
     code1, out1, _ = run(
         capsys, "scan", "--which", "growth", "--size", "2",
