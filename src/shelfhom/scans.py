@@ -7,12 +7,14 @@ Only theorem-backed checks elsewhere in the package may fail a run.
 
 Each scan returns its report as the JSON document itself:
 {"conjecture", "params", "points", "summary"}, each point a
-{"params", "observed", "conjectured", "verdict"} dict, and the summary the
-verdict counts plus the scan's own keys.
+{"params", "observed", "conjectured", "verdict"} dict from ``_point``, and
+the summary the verdict counts plus the scan's own keys.
 
-Independent (structure, coefficient, degree) jobs can fan out to a process
-pool; reports are assembled in grid order, so results do not depend on
-completion order.
+The scans over iso classes (growth, example4, torsion hunt) share one path,
+``_class_groups``: the caps, then the classes of one source (the shelf census
+or the pointed-map family), each with its groups H_0..H_maxdeg.  Independent
+(structure, coefficient, degree) jobs can fan out to a process pool; reports
+are assembled in grid order, so results do not depend on completion order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import product
 
 from .census import canonical_form, enumerate_shelves
 from .chain import preset_homology
-from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange, SpecPreconditionFailed
+from .errors import CapExceeded, DegreeNegative, EmptyList, OutOfRange, PracticalSizeLimit
 from .families import boolean_multishelf, pointed_map
 from .orbits import left_orbits
 from .tables import BinaryOpTable, validate_multishelf
@@ -34,6 +36,11 @@ from .tables import BinaryOpTable, validate_multishelf
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 NOT_COMPUTED = "not-computed"
+
+
+def _point(params: dict, observed: dict, conjectured, holds: bool) -> dict:
+    return {"params": params, "observed": observed, "conjectured": conjectured,
+            "verdict": CONSISTENT if holds else INCONSISTENT}
 
 
 def _report(conjecture: str, params: dict, points: list, **extra) -> dict:
@@ -79,12 +86,16 @@ def _ranks(job_list, jobs):
             for groups in _pool_map(_groups, job_list, jobs)]
 
 
-def _check_class_scan(name: str, size: int, maxdeg: int):
-    """The caps of a scan over classes, checked before any class is built."""
+def _class_groups(name: str, source, size: int, maxdeg: int, jobs: int) -> list:
+    """Each class of ``source(size)`` with its groups H_0..H_maxdeg, in class
+    order; the caps are checked before any class is built."""
     if size > 4:
         raise CapExceeded(f"{name} capped at size 4, got {size}")
     if maxdeg < 0:
         raise DegreeNegative(f"maxdeg {maxdeg} < 0")
+    classes = source(size)
+    groups = _pool_map(_groups, [(s, "shelf", maxdeg) for s in classes], jobs)
+    return list(zip(classes, groups))
 
 
 def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> dict:
@@ -95,22 +106,20 @@ def scan_growth(size: int, maxdeg: int = 4, jobs: int = 1) -> dict:
     degree-1 rank is (r-1)*r): an excess in either direction witnesses the
     induced map on homology failing to be injective resp. surjective.
     """
-    _check_class_scan("growth scan", size, maxdeg)
-    shelves = enumerate_shelves(size)
-    rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
+    classes = _class_groups("growth scan", enumerate_shelves, size, maxdeg, jobs)
     start = max(size - 2, 0)
     points = []
     quotient_cmp = {"greater": 0, "equal": 0, "less": 0}
     witnesses = {}
-    for shelf, ranks in zip(shelves, rank_lists):
+    for shelf, groups in classes:
+        ranks = [g["rank"] for g in groups]
         for d in range(start, maxdeg):
             expected = size * ranks[d]
-            points.append({
-                "params": {"class": list(shelf.table.flat()), "degree": d},
-                "observed": {"rank": ranks[d], "rank_next": ranks[d + 1]},
-                "conjectured": {"rank_next": expected},
-                "verdict": CONSISTENT if ranks[d + 1] == expected else INCONSISTENT,
-            })
+            points.append(_point(
+                {"class": list(shelf.table.flat()), "degree": d},
+                {"rank": ranks[d], "rank_next": ranks[d + 1]},
+                {"rank_next": expected}, ranks[d + 1] == expected,
+            ))
         if maxdeg >= 1:
             r = len(left_orbits(shelf))
             quotient_h1 = (r - 1) * r
@@ -132,10 +141,15 @@ def pointed_map_shelves(size: int):
     """One shelf per iso class of the pointed-map family on the carrier.
 
     Relabelling b <-> 0 maps the family onto itself, so b = 0 already
-    meets every class.
+    meets every class.  Sizes over 7, the largest measured to finish, are
+    refused: size 8 would take 7^7 = 823 543 canonical forms.
     """
     if size < 0:
         raise OutOfRange(f"carrier size {size} < 0")
+    if size > 7:
+        raise PracticalSizeLimit(
+            f"pointed-map enumeration of size {size} exceeds the guard 7"
+        )
     if size == 0:
         return []
     out = {}
@@ -150,34 +164,33 @@ def is_pointed_map_type(table: BinaryOpTable) -> bool:
     """Is the table a :func:`pointed_map` shelf, x*y = (g(y) if x=b else y)
     for some b, with g its row b?
 
-    The shape test is isomorphism-invariant, so it can be applied to any
-    class representative directly.
+    It is when every row but at most one row b is the identity map and
+    g^-1(b) = {b}; such a table is always a shelf.  The shape test is
+    isomorphism-invariant, so it can be applied to any class representative
+    directly.
     """
-    for b, g in enumerate(table.entries):
-        try:
-            if pointed_map(b, g).table == table:
-                return True
-        except SpecPreconditionFailed:  # g^-1(b) is not {b}
-            pass
-    return False
+    rows = table.entries
+    identity = tuple(range(len(rows)))
+    moved = [b for b, row in enumerate(rows) if row != identity]
+    # with no moved row, every b fits with g = id
+    return len(moved) <= 1 and all(
+        rows[b][b] == b and rows[b].count(b) == 1 for b in moved
+    )
 
 
 def scan_example4(size: int, maxdeg: int = 3, jobs: int = 1) -> dict:
     """Pointed-map family rank formula |X|^(d-1)*(2+(|X|+1)*(r-2)), d >= 1."""
-    _check_class_scan("example4 scan", size, maxdeg)
-    shelves = pointed_map_shelves(size)
-    rank_lists = _ranks([(s, "shelf", maxdeg) for s in shelves], jobs)
+    classes = _class_groups("example4 scan", pointed_map_shelves, size, maxdeg, jobs)
     points = []
-    for shelf, ranks in zip(shelves, rank_lists):
+    for shelf, groups in classes:
         r = len(left_orbits(shelf))
         for d in range(1, maxdeg + 1):
+            rank = groups[d]["rank"]
             expected = size ** (d - 1) * (2 + (size + 1) * (r - 2))
-            points.append({
-                "params": {"class": list(shelf.table.flat()), "orbits": r, "degree": d},
-                "observed": {"rank": ranks[d]},
-                "conjectured": {"rank": expected},
-                "verdict": CONSISTENT if ranks[d] == expected else INCONSISTENT,
-            })
+            points.append(_point(
+                {"class": list(shelf.table.flat()), "orbits": r, "degree": d},
+                {"rank": rank}, {"rank": expected}, rank == expected,
+            ))
     return _report("example4", {"size": size, "maxdeg": maxdeg}, points)
 
 
@@ -223,12 +236,8 @@ def scan_boolean(omega: int, radius: int = 1, maxdeg: int = 3,
         conjectured = [
             _boolean_conjectured(omega, coeffs, d) for d in range(maxdeg + 1)
         ]
-        points.append({
-            "params": {"coefficients": list(coeffs)},
-            "observed": {"ranks": ranks},
-            "conjectured": {"ranks": conjectured},
-            "verdict": CONSISTENT if ranks == conjectured else INCONSISTENT,
-        })
+        points.append(_point({"coefficients": list(coeffs)}, {"ranks": ranks},
+                             {"ranks": conjectured}, ranks == conjectured))
     return _report(
         "boolean",
         {"omega": omega, "radius": radius, "maxdeg": maxdeg, "augmented": augmented},
@@ -269,12 +278,8 @@ def scan_hyperplane(ms, samples: int = 25, bound: int = 2, maxdeg: int = 2,
     top = max(counts.values())
     generic = sorted(seq for seq, c in counts.items() if c == top)[0]
     points = [
-        {
-            "params": {"coefficients": list(vec)},
-            "observed": {"ranks": ranks},
-            "conjectured": {"ranks": list(generic)},
-            "verdict": CONSISTENT if tuple(ranks) == generic else INCONSISTENT,
-        }
+        _point({"coefficients": list(vec)}, {"ranks": ranks},
+               {"ranks": list(generic)}, tuple(ranks) == generic)
         for vec, ranks in zip(vectors, rank_lists)
     ]
     return _report(
@@ -300,26 +305,20 @@ def torsion_hunt(size: int, maxdeg: int = 1, jobs: int = 1) -> dict:
     Each find is flagged when the class has the pointed-map shape of the
     known torsion examples.
     """
-    _check_class_scan("torsion hunt", size, maxdeg)
-    shelves = enumerate_shelves(size)
-    group_lists = _pool_map(_groups, [(s, "shelf", maxdeg) for s in shelves], jobs)
+    classes = _class_groups("torsion hunt", enumerate_shelves, size, maxdeg, jobs)
     points = []
-    for shelf, groups in zip(shelves, group_lists):
+    for shelf, groups in classes:
         torsions = [g["torsion"] for g in groups]
         if not any(torsions):
             continue
-        points.append({
-            "params": {"class": list(shelf.table.flat())},
-            "observed": {
-                "torsion_by_degree": {
-                    str(d): t for d, t in enumerate(torsions) if t
-                },
-                "pointed_map_type": is_pointed_map_type(shelf.table),
-            },
-            "conjectured": None,
-            "verdict": CONSISTENT,
-        })
+        # a find conjectures nothing, so it is consistent
+        points.append(_point(
+            {"class": list(shelf.table.flat())},
+            {"torsion_by_degree": {str(d): t for d, t in enumerate(torsions) if t},
+             "pointed_map_type": is_pointed_map_type(shelf.table)},
+            None, True,
+        ))
     return _report(
         "torsion-hunt", {"size": size, "maxdeg": maxdeg}, points,
-        classes_scanned=len(shelves), classes_with_torsion=len(points),
+        classes_scanned=len(classes), classes_with_torsion=len(points),
     )

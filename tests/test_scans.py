@@ -6,7 +6,13 @@ import pytest
 
 from shelfhom import scans
 from shelfhom.census import canonical_form
-from shelfhom.errors import CapExceeded, OutOfRange
+from shelfhom.errors import (
+    CapExceeded,
+    DegreeNegative,
+    OutOfRange,
+    PracticalSizeLimit,
+    SpecPreconditionFailed,
+)
 from shelfhom.families import boolean_multishelf, pointed_map
 from shelfhom.scans import (
     is_pointed_map_type,
@@ -43,9 +49,24 @@ def test_growth_report_structure():
     assert min(p["params"]["degree"] for p in doc["points"]) == 0
 
 
-def test_growth_size_guard():
-    with pytest.raises(CapExceeded):
-        scan_growth(5)
+@pytest.mark.parametrize("scan, name", [
+    (scan_growth, "growth scan"),
+    (scan_example4, "example4 scan"),
+    (torsion_hunt, "torsion hunt"),
+], ids=["growth", "example4", "torsion-hunt"])
+def test_growth_size_guard(monkeypatch, scan, name):
+    # the size cap is checked first, then the degree, before any class is built
+    def fail(size):
+        raise AssertionError("classes were built before the caps")
+
+    monkeypatch.setattr(scans, "enumerate_shelves", fail)
+    monkeypatch.setattr(scans, "pointed_map_shelves", fail)
+    for maxdeg in (2, -1):
+        with pytest.raises(CapExceeded) as exc:
+            scan(5, maxdeg=maxdeg)
+        assert str(exc.value) == f"{name} capped at size 4, got 5"
+    with pytest.raises(DegreeNegative, match=r"^maxdeg -1 < 0$"):
+        scan(4, maxdeg=-1)
 
 
 def test_pointed_map_shelves_size_zero_is_empty_and_negative_is_refused():
@@ -53,6 +74,16 @@ def test_pointed_map_shelves_size_zero_is_empty_and_negative_is_refused():
     assert scan_example4(0)["summary"]["points"] == 0
     with pytest.raises(OutOfRange, match="carrier size -1 < 0"):
         pointed_map_shelves(-1)
+
+
+def test_pointed_map_shelves_refuse_size_8_before_any_map(monkeypatch):
+    def fail(table):
+        raise AssertionError("a map was canonicalised before the guard")
+
+    monkeypatch.setattr(scans, "canonical_form", fail)
+    with pytest.raises(PracticalSizeLimit,
+                       match=r"^pointed-map enumeration of size 8 exceeds the guard 7$"):
+        pointed_map_shelves(8)
 
 
 def test_pointed_map_shelves_match_the_all_b_oracle():
@@ -85,6 +116,29 @@ def test_pointed_map_type_detection():
         [[0, 2, 3, 1], [0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
     )
     assert is_pointed_map_type(pm)
+
+
+def test_pointed_map_type_matches_the_family_oracle():
+    # the oracle builds pointed_map(b, row b) for each b and compares
+    def oracle(table):
+        for b, g in enumerate(table.entries):
+            try:
+                if pointed_map(b, g).table == table:
+                    return True
+            except SpecPreconditionFailed:  # g^-1(b) is not {b}
+                pass
+        return False
+
+    found = 0
+    for n in (1, 2, 3):
+        for flat in product(range(n), repeat=n * n):
+            table = BinaryOpTable.from_rows(
+                [flat[x * n:(x + 1) * n] for x in range(n)]
+            )
+            expected = oracle(table)
+            assert is_pointed_map_type(table) == expected, table
+            found += expected
+    assert found == 12
 
 
 def test_example4_proven_degree_one():
@@ -215,20 +269,23 @@ def test_pool_map_sends_chunks_in_item_order(monkeypatch, recording_pool, items)
     assert math.ceil(items / chunk) > 2 * 2
 
 
-@pytest.mark.parametrize("scan", [
-    lambda jobs: torsion_hunt(3, 2, jobs=jobs),         # 48 classes
-    lambda jobs: scan_boolean(1, radius=1, jobs=jobs),  # 27 coefficient vectors
-], ids=["torsion-hunt-3", "boolean-radius-1"])
-def test_chunked_fan_out_matches_sequential(monkeypatch, scan):
+@pytest.mark.parametrize("scan, chunk", [
+    (lambda jobs: torsion_hunt(3, 2, jobs=jobs), 6),          # 48 classes
+    (lambda jobs: scan_boolean(1, radius=1, jobs=jobs), 4),   # 27 coefficient vectors
+    (lambda jobs: scan_growth(3, maxdeg=2, jobs=jobs), 6),    # 48 classes
+    (lambda jobs: scan_example4(4, maxdeg=2, jobs=jobs), 1),  # 7 classes
+], ids=["torsion-hunt-3", "boolean-radius-1", "growth-3", "example4-4"])
+def test_chunked_fan_out_matches_sequential(monkeypatch, scan, chunk):
     _ChunkRecordingPool.chunksizes = []
     monkeypatch.setattr(scans, "ProcessPoolExecutor", _ChunkRecordingPool)
     _pin(monkeypatch, {0, 1}, 2)
     assert scan(2) == scan(1)
-    [chunk] = _ChunkRecordingPool.chunksizes
-    assert chunk > 1
+    # one map call, with about four tasks per worker: ceil(items / 8)
+    assert _ChunkRecordingPool.chunksizes == [chunk]
 
 
 def test_torsion_hunt_small_sizes_empty():
+    assert torsion_hunt(0)["summary"]["classes_scanned"] == 0
     assert torsion_hunt(1, 1)["summary"]["classes_with_torsion"] == 0
     report = torsion_hunt(2, 2)
     assert report["summary"]["classes_with_torsion"] == 0
