@@ -57,7 +57,8 @@ def canonical_form(table: BinaryOpTable) -> BinaryOpTable:
     n = table.size
     if n > CANONICAL_SIZE_LIMIT:
         raise PracticalSizeLimit(
-            f"canonical form is factorial in n; refusing n = {n} > {CANONICAL_SIZE_LIMIT}"
+            f"canonical form refuses n = {n} > {CANONICAL_SIZE_LIMIT}: its search branches over "
+            "points that no row tells apart, already 30 ms per relabelled pointed map at n = 8"
         )
     t = table.entries
     perm = [-1] * n  # the label of each source, -1 while it has none

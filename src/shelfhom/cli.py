@@ -20,7 +20,6 @@ from .census import CANONICAL_SIZE_LIMIT, canonical_form, enumerate_shelves
 from .chain import DEFAULT_MEMORY_CAP, PRESETS, preset_complex
 from .io import dump_report, finish_report, load_structure, structure_to_doc
 from .orbits import classify, left_orbits, orbit_quotient
-from .scans import scan_boolean, scan_example4, scan_growth, scan_hyperplane, torsion_hunt
 from .simplicial import build_shelf_complex, components, maximal_simplices, simplicial_groups
 from .snf import homology_from_boundaries
 from .tables import MultiShelf, Shelf
@@ -242,6 +241,7 @@ _SCAN_FLAGS = {
 
 
 def cmd_scan(args):
+    from .scans import scan_boolean, scan_example4, scan_growth, scan_hyperplane
     for flag in sorted(set().union(*_SCAN_FLAGS.values()) - set(_SCAN_FLAGS[args.which])):
         if getattr(args, flag) is not None:
             raise errors.ParseError(f"scan --which {args.which} does not read --{flag}")
@@ -263,6 +263,7 @@ def cmd_scan(args):
 
 
 def cmd_torsion_hunt(args):
+    from .scans import torsion_hunt
     given = {} if args.maxdeg is None else {"maxdeg": args.maxdeg}
     return torsion_hunt(args.size, jobs=args.jobs, **given)
 

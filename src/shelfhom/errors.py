@@ -103,7 +103,7 @@ class DegenerateNotSubcomplex(InputError):
 
 
 class PracticalSizeLimit(ResourceCap):
-    """Carrier size beyond the factorial/backtracking guard."""
+    """Carrier size, or a count that grows with it, beyond a guard set by measured cost."""
 
 
 class MemoryCapExceeded(ResourceCap):

@@ -1,3 +1,4 @@
+import json
 import pkgutil
 import subprocess
 import sys
@@ -45,3 +46,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_datetime():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == []
+
+
+# only scan and torsion-hunt import shelfhom.scans and its process pool
+POOL = ("shelfhom.scans", "concurrent.futures", "multiprocessing", "logging")
+
+
+def test_cli_homology_loads_no_scans_or_process_pool(tmp_path):
+    root = str(Path(shelfhom.__file__).resolve().parent.parent)
+    r3 = tmp_path / "r3.json"
+    r3.write_text(json.dumps(
+        {"size": 3, "ops": [[[(2 * y - x) % 3 for y in range(3)] for x in range(3)]]}
+    ))
+    argv = ["homology", "--kind", "rack", "--maxdeg", "1", "--input", str(r3), "--no-timestamp"]
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); import shelfhom.cli; "
+        f"code = shelfhom.cli.main({argv!r}); "
+        f"print(code, ' '.join(m for m in {POOL!r} if m in sys.modules), file=sys.stderr)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["command"] == "homology"
+    assert child.stderr.split() == ["0"]
