@@ -20,7 +20,7 @@ the knot-theory literature calls the (n+1)-st rack homology.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import groupby, product
 
 from .errors import (
     ChainMapViolation,
@@ -88,6 +88,35 @@ def _face_tables(ms, coefficients, degree):
                 prefix = [prefix[y // (n * n) * n + y % n] * n + t[y // n % n][y % n]
                           for y in range(n ** (i + 1))]
             yield i, c if i % 2 == 0 else -c, prefix
+
+
+def _nondegenerate_prefixes(ms, coefficients, degree):
+    """(i, (-1)^i c_k, qs, ps) for each operation with c_k != 0 and each face
+    i: the q, ascending, whose prefix image ps = P_i[q] (see
+    :func:`_face_tables`) is a nondegenerate i-tuple, one level at a time.
+
+    A nondegenerate P_i[q] is a nondegenerate P_{i-1}[q'] followed by
+    x_{i-1} * x_i, where q' is q without x_{i-1}, so level i grows from
+    level i-1 alone: each run of one head x_0..x_{i-2} there extends by
+    every x_{i-1} whose product differs from the image's last entry.
+    """
+    n = ms.size
+    for t, c in [(op.entries, c) for op, c in zip(ms.ops, coefficients) if c]:
+        qs, ps = list(range(n)), [0] * n
+        yield 0, c, qs, ps
+        for i in range(1, degree + 1):
+            grown_qs, grown_ps = [], []
+            for head, run in groupby(zip(qs, ps), lambda qp: qp[0] // n):
+                run = [(q % n, p, p % n) for q, p in run]
+                for v in range(n):
+                    tv, base = t[v], (head * n + v) * n
+                    for x, p, last in run:
+                        # P_0 is the empty tuple, so at i = 1 every image is kept
+                        if tv[x] != last or i == 1:
+                            grown_qs.append(base + x)
+                            grown_ps.append(p * n + tv[x])
+            qs, ps = grown_qs, grown_ps
+            yield i, c if i % 2 == 0 else -c, qs, ps
 
 
 def _assemble(ms, coefficients, degree) -> SparseIntMatrix:
@@ -254,20 +283,19 @@ def _quotient_faces(ms, coefficients, degree, kept):
 
     The row of face i of x = q * s + r is the prefix image P_i[q] followed
     by the suffix r, so only the q and r where both parts are nondegenerate
-    are visited; the row lookup drops joins that repeat an entry.  Terms
-    come face by face, and each column lists its rows in the order of
-    :func:`_assemble`'s column-major loop.  A column whose terms all cancel
-    leaves the dict at once.
+    are visited: the q come grown level by level from the nondegenerate
+    images alone (:func:`_nondegenerate_prefixes`), and the row lookup
+    drops joins that repeat an entry.  Terms come face by face, and each
+    column lists its rows in the order of :func:`_assemble`'s column-major
+    loop.  A column whose terms all cancel leaves the dict at once.
     """
     n = ms.size
     rows = kept[degree]
     data: dict[int, dict[int, int]] = {}
-    for i, c, prefix in _face_tables(ms, coefficients, degree):
+    for i, c, qs, ps in _nondegenerate_prefixes(ms, coefficients, degree):
         s = n ** (degree - i)
-        heads, suffixes = kept[i], kept[degree - i]
-        for q, p in enumerate(prefix):
-            if p not in heads:
-                continue
+        suffixes = kept[degree - i]
+        for q, p in zip(qs, ps):
             row0, x0 = p * s, q * s
             for r in suffixes:
                 row = rows.get(row0 + r)
@@ -296,9 +324,10 @@ def quandle_quotient_complex(ms, coefficients, maxdeg: int, augmented: bool = Fa
     operations are all spindles (x * x = x), and any coefficients.  Faces i
     and i+1 of a tuple with x_i = x_{i+1} then cancel, so the degenerate
     chains form a subcomplex.  Each degree is assembled once, from the face
-    terms that land on nondegenerate rows only: a degenerate column that
-    keeps a term raises a structured error naming the least such tuple, and
-    the nondegenerate columns form the quotient matrix.  The name is kept
+    terms that land on nondegenerate rows only, whose prefix images are
+    grown level by level without a full prefix table: a degenerate column
+    that keeps a term raises a structured error naming the least such tuple,
+    and the nondegenerate columns form the quotient matrix.  The name is kept
     because quandle homology, the preset (op, identity) under (1, -1), is
     its best-known case and callers look the function up by that name.
     """

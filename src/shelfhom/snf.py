@@ -129,12 +129,14 @@ def smith_normal_form(mat: SparseIntMatrix, drop=frozenset()) -> SmithForm:
 
 def _cheapest_unit(r, cols):
     """(cost, column) of the unit of least Markowitz cost in row r, or None."""
-    best = None
+    least = best = 0
     for j, v in r.items():
-        if (v == 1 or v == -1) and (best is None or len(cols[j]) < best[0]):
-            best = len(cols[j]), j
-    if best is not None:
-        return (len(r) - 1) * (best[0] - 1), best[1]
+        if v == 1 or v == -1:
+            m = len(cols[j])
+            if not least or m < least:
+                least, best = m, j
+    if least:
+        return (len(r) - 1) * (least - 1), best
 
 
 def _queue(units, live, i, cost):
@@ -149,9 +151,10 @@ def _row_axpy(rows, cols, dst, src, c, units, live):
     """rows[dst] += c * src for a row dict src; drops dst if it becomes zero.
 
     If some entry became +-1, dst is queued once, at the least cost among
-    those new units."""
+    those new units: least is the shortest of their columns, read as each
+    unit appears, since no later step of the loop changes that column."""
     rdst = rows[dst]
-    fresh = []
+    least = 0
     for j, v in src.items():
         old = rdst.get(j)
         nv = (old or 0) + c * v
@@ -160,15 +163,16 @@ def _row_axpy(rows, cols, dst, src, c, units, live):
                 cols[j].add(dst)
             rdst[j] = nv
             if (nv == 1 or nv == -1) and old != 1 and old != -1:
-                fresh.append(j)
+                m = len(cols[j])
+                if not least or m < least:
+                    least = m
         elif old is not None:
             del rdst[j]
             cols[j].discard(dst)
     if not rdst:
         del rows[dst]
-    elif fresh:
-        n = len(rdst) - 1
-        _queue(units, live, dst, min(n * (len(cols[j]) - 1) for j in fresh))
+    elif least:
+        _queue(units, live, dst, (len(rdst) - 1) * (least - 1))
 
 
 def _next_unit(rows, cols, units, live):

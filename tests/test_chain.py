@@ -216,9 +216,10 @@ def test_huge_coefficients_scale_the_invariant_factors():
 
 
 def test_quotient_build_peak_memory_is_bounded():
-    # R3's quotient through d_8 peaks near 1.8 MB of traced memory with
-    # column arrays, one face dict per column and one prefix table at a
-    # time; the (row, col)-keyed dict layout peaked at 4.5-4.8 MB (CPython
+    # R3's quotient through d_8 peaks near 0.9 MB of traced memory with
+    # column arrays, one face dict per column and at most two levels of
+    # nondegenerate prefix images; a full prefix table per face peaked near
+    # 1.8 MB, and the (row, col)-keyed dict layout at 4.5-4.8 MB (CPython
     # 3.10-3.13)
     tracemalloc.start()
     try:
@@ -516,6 +517,32 @@ def test_quotient_takes_a_multi_shelf_of_spindles_only():
         quandle_quotient_complex(ms, (1, 1, 1, 1), -1)
 
 
+def test_nondegenerate_prefix_levels_match_the_full_tables(labelled_by_size):
+    # the quotient grows its prefix images level by level from the
+    # nondegenerate ones alone; they must be exactly the entries of the full
+    # tables whose i-tuple repeats no adjacent entry, in ascending q, for
+    # every operation with a nonzero coefficient and every face
+    import shelfhom.chain as chain
+    from shelfhom.orbits import is_spindle
+
+    spindles = [t for n in (1, 2, 3) for t in labelled_by_size[n] if is_spindle(t)]
+    assert {t.size for t in spindles} == {1, 2, 3}
+    cases = [(Shelf(t), (1,)) for t in spindles]
+    cases += [(_pair(t), (1, -1)) for t in spindles]
+    # a two-operation multi-spindle whose second coefficient is 0
+    cases.append((validate_multishelf((DIHEDRAL3.table, right_trivial_op(3))), (2, 0)))
+    for ms, coefficients in cases:
+        for degree in range(6):
+            want = []
+            for i, c, prefix in chain._face_tables(ms, coefficients, degree):
+                tuples = [index_tuple(p, i, ms.size) for p in prefix]
+                want.append((i, c, [(q, p) for q, p in enumerate(prefix)
+                                    if all(a != b for a, b in zip(tuples[q], tuples[q][1:]))]))
+            got = [(i, c, list(zip(qs, ps))) for i, c, qs, ps in
+                   chain._nondegenerate_prefixes(ms, coefficients, degree)]
+            assert got == want, (ms, coefficients, degree)
+
+
 # sha256 of repr([(shape, list(data.items())), ...]) over the boundaries.
 # The SNF's tie-breaks follow the order in which entries were inserted, so a
 # change to the assembly must keep these digests, not only the matrices.
@@ -530,8 +557,13 @@ def test_quotient_takes_a_multi_shelf_of_spindles_only():
      "7db138f30a70667c8a92fc29f65d4066282c70b0c787247705306fa11595baae"),
     (7, "rack", (1, -1), 3,
      "08969bfb3f8726b23c421a8c583c2a9ab9e88b80caa3b8d98470425ab887a8f5"),
+    # higher faces at larger n, where a wrong prefix recurrence shows first
+    (5, "quotient", (1, -1), 6,
+     "cbcbfa3a64b2fed77d9ca4959b2f7fac943d8e7e12237af61992b6610ece19bf"),
+    (7, "quotient", (1, -1), 4,
+     "019a201aa9d21049f8f9a2b6fa94e619edf93596c72ab076ca60c60acf28aa99"),
 ], ids=["R3-quotient", "R5-quotient", "R3-quotient-(1,1)", "R3-quotient-(2,-1)",
-        "R7-rack"])
+        "R7-rack", "R5-quotient-d6", "R7-quotient-d4"])
 def test_boundary_entry_order_is_pinned(n, kind, coefficients, maxdeg, digest):
     ms = _pair(BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n))
     if kind == "rack":

@@ -296,6 +296,36 @@ def test_walk_factor_digests_are_pinned(structures, kind, maxdeg, digest,
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == digest
 
 
+def test_unit_queue_and_pivot_order_is_pinned(monkeypatch):
+    # sha256 of repr of every ("queue", row, cost) handed to _queue and every
+    # ("pivot", row, column) that _next_unit returns, in call order, over the
+    # walks of R7's rack d_0..d_3 and R3's quotient d_0..d_8.  The factors do
+    # not depend on the pivot order, but the fill-in, the time and the rows
+    # the walk pairs do: a change of pivot order must update this digest and
+    # say so in CHANGES.md.
+    record = []
+    queue, next_unit = shelfhom.snf._queue, shelfhom.snf._next_unit
+
+    def recorded_queue(units, live, i, cost):
+        record.append(("queue", i, cost))
+        queue(units, live, i, cost)
+
+    def recorded_next_unit(rows, cols, units, live):
+        unit = next_unit(rows, cols, units, live)
+        if unit is not None:
+            record.append(("pivot",) + unit)
+        return unit
+
+    monkeypatch.setattr(shelfhom.snf, "_queue", recorded_queue)
+    monkeypatch.setattr(shelfhom.snf, "_next_unit", recorded_next_unit)
+    for n, kind, maxdeg in [(7, "rack", 2), (3, "quandle", 7)]:
+        shelf = Shelf(BinaryOpTable.from_function(n, lambda x, y: (2 * y - x) % n))
+        preset_homology(shelf, kind, maxdeg)
+    assert len(record) == 4500
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == \
+        "f9f55b782a2039f9ac842dffefe71c939122c23c6003aff1b982be49f91254e3"
+
+
 def _invariant_factors(orders):
     """The invariant factors of the direct sum of the Z/m for m in orders."""
     exponents = {}
