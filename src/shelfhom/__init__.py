@@ -43,7 +43,6 @@ from .tables import (
     distributive_closure,
     identity_op,
     inverse_op,
-    left_normed_product,
     right_trivial_op,
     validate_multishelf,
     validate_shelf,

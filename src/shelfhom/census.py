@@ -2,15 +2,15 @@
 
 Canonical form is the lexicographic minimum of the row-major flattened table
 over all carrier permutations, so two tables have the same canonical table
-exactly when some relabelling transports one onto the other.  Enumeration
-backtracks over table entries in row-major order, checking every instance
-of the distributivity law as soon as its five lookups are determined.  The
-census runs the same recursion as orderly generation (Read 1978; McKay
-1998), so each class's canonical table is the only one of its class to come
-out, and it stands for the class as a certified Shelf.  Canonical form is a
-search pruned by the lex order and the automorphisms it finds (McKay and
-Piperno 2014); the census's prune compares relabelled rows of a partial
-table in order and stops at the first row that differs.
+exactly when some relabelling transports one onto the other.  The census is
+orderly generation (Read 1978; McKay 1998): it backtracks over table entries
+in row-major order, checking every instance of the distributivity law as
+soon as its five lookups are determined, and drops a partial table that some
+relabelling makes smaller.  So each class's canonical table is the only one
+of its class to come out, and it stands for the class as a certified Shelf.
+Canonical form is a search pruned by the lex order and the automorphisms it
+finds (McKay and Piperno 2014); the census's prune compares relabelled rows
+of a partial table in order and stops at the first row that differs.
 """
 
 from __future__ import annotations
@@ -135,19 +135,17 @@ def canonical_form(table: BinaryOpTable) -> BinaryOpTable:
     return BinaryOpTable(tuple(tuple(row) for row in best))
 
 
-def enumerate_shelf_tables(n: int, canonical: bool = False):
-    """All labelled self-distributive tables on {0..n-1}, in lex order.
+def enumerate_shelf_tables(n: int):
+    """Each class's lex-min self-distributive table on {0..n-1}, in lex order.
 
     Backtracking fills entries row-major; after each placement, every
     instance of the law whose lookups are all determined is checked, and
     instances blocked on a not-yet-filled row are carried forward and
-    re-checked as the table grows.
-
-    With ``canonical``, only the lex-min table of each class is returned:
-    once r rows are filled, a relabelling's image is determined on its rows
-    x = 0, 1, ... while ``pinv[x] < r``, and a node whose image prefix is
-    smaller has no lex-min completion.  A lex-min table's prefixes are never
-    beaten, and at r = n the test is the full lex-min test.
+    re-checked as the table grows.  Once r rows are filled, a relabelling's
+    image is determined on its rows x = 0, 1, ... while ``pinv[x] < r``, and
+    a node whose image prefix is smaller has no lex-min completion.  A
+    lex-min table's prefixes are never beaten, and at r = n the test is the
+    full lex-min test.
     """
     if n < 0:
         raise OutOfRange(f"carrier size {n} < 0")
@@ -169,7 +167,7 @@ def enumerate_shelf_tables(n: int, canonical: bool = False):
 
     # at the end of row x, the relabellings that can beat t: every one but
     # the identity with pinv[0] < x, as _smaller is False at once for the rest
-    relabellings = list(_relabellings(n))[1:] if canonical else []
+    relabellings = list(_relabellings(n))[1:]
     beaters = [[rl for rl in relabellings if rl[1][0] < x] for x in range(n + 1)]
 
     results = []
@@ -226,4 +224,4 @@ def enumerate_shelves(n: int) -> list[Shelf]:
     checking every instance of the law, and the backtracker's lex order
     makes their flattenings ascending.
     """
-    return [Shelf(table) for table in enumerate_shelf_tables(n, canonical=True)]
+    return [Shelf(table) for table in enumerate_shelf_tables(n)]

@@ -229,6 +229,7 @@ def build_complex(ms, coefficients, maxdeg: int, augmented: bool = True,
     if maxdeg < 0:
         raise DegreeNegative(f"maxdeg {maxdeg} < 0")
     check_memory_cap(ms.size, maxdeg, cap)
+    coefficients = tuple(coefficients)
     boundaries = [
         boundary_matrix(ms, coefficients, d, augmented)
         for d in range(maxdeg + 1)
@@ -384,6 +385,7 @@ def F_chain_map(star1: BinaryOpTable, target, coefficients, degree: int) -> Spar
     """
     if star1.size != target.size:
         raise ChainMapViolation("carrier sizes differ")
+    coefficients = tuple(coefficients)
     if len(coefficients) != len(target.ops):
         raise SizeMismatch(f"{len(coefficients)} coefficients for {len(target.ops)} operations")
     if degree < 0:

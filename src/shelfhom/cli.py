@@ -132,12 +132,11 @@ def _structure_key(structure) -> list:
 
 def cmd_validate(args):
     structure = _need_input(args)
-    doc = structure_to_doc(structure)
     payload = {
         "valid": True,
         "kind": "shelf" if isinstance(structure, Shelf) else "multi-shelf",
-        "size": doc["size"],
-        "operations": len(doc["ops"]),
+        "size": structure.size,
+        "operations": len(structure.ops),
     }
     if isinstance(structure, Shelf):
         payload["flags"] = classify(structure)

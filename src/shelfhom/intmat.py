@@ -18,13 +18,16 @@ class SparseIntMatrix:
     __slots__ = ("nrows", "ncols", "colptr", "rowidx", "values")
 
     def __init__(self, nrows: int, ncols: int, data=None):
-        """From a dict {(row, col): value}; each column keeps its keys' order."""
+        """From a dict {(row, col): int value}; each column keeps its keys'
+        order.  A value of any other type, bool included, is refused."""
         if nrows < 0 or ncols < 0:
             raise OutOfRange("matrix dimensions must be nonnegative")
         columns = [{} for _ in range(ncols)]
         for (i, j), v in (data or {}).items():
             if not 0 <= i < nrows or not 0 <= j < ncols:
                 raise OutOfRange(f"entry ({i},{j}) outside {nrows}x{ncols}")
+            if type(v) is not int:
+                raise OutOfRange(f"entry ({i},{j}) is {v!r}, not an int")
             if v:
                 columns[j][i] = v
         self._fill(nrows, columns)

@@ -216,28 +216,13 @@ def inverse_op(table: BinaryOpTable) -> BinaryOpTable:
     return BinaryOpTable.from_rows(inv_rows)
 
 
-def left_normed_product(op, elements) -> int:
-    """Fold left: ((x0 * x1) * x2) * ... * xk."""
-    if isinstance(op, Shelf):
-        op = op.table
-    items = list(elements)
-    if not items:
-        raise EmptyList("left-normed product of an empty list")
-    t = op.entries
-    acc = items[0]
-    for x in items[1:]:
-        acc = t[acc][x]
-    return acc
-
-
-def suffix_products(op, xs):
-    """All left-normed suffix products (x_i * ... * x_d for each i).
+def suffix_products(op: BinaryOpTable, xs) -> tuple[int, ...]:
+    """The left-normed suffix products ((x_i * x_{i+1}) * ...) * x_d of xs
+    under the table op, for i = 0..d.
 
     This is the vertex tuple generated by ``xs`` in the shelf complex and the
     image tuple of the chain projection to it.
     """
-    if isinstance(op, Shelf):
-        op = op.table
     t = op.entries
     out = []
     for i in range(len(xs)):

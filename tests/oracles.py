@@ -152,6 +152,14 @@ def brute_force_is_mutually_distributive(rows_k, rows_l):
     return True
 
 
+def left_normed_fold(rows, xs):
+    """((x_0 * x_1) * x_2) * ... * x_k on a table given by its rows."""
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = rows[acc][x]
+    return acc
+
+
 def all_shelf_tables_by_filter(n):
     """Every self-distributive table on n elements, by raw exhaustion."""
     tables = []

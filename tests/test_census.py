@@ -156,13 +156,6 @@ def test_enumeration_size_guard():
         enumerate_shelves(6)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_backtracker_matches_exhaustive_filter(n, labelled_by_size):
-    expected = oracles.all_shelf_tables_by_filter(n)
-    got = [t.flat() for t in labelled_by_size[n]]
-    assert got == sorted(expected)
-
-
 @pytest.mark.parametrize("n, labelled, racks, quandles", [
     (3, 224, 6, 3),
     (4, 14067, 19, 7),
@@ -195,10 +188,11 @@ def test_classes_match_orbit_partition_oracle(n, labelled_by_size):
     assert [s.table.flat() for s in enumerate_shelves(n)] == reps
 
 
-def test_every_enumerated_table_is_a_shelf(labelled_by_size):
-    for n, tables in labelled_by_size.items():
-        for t in tables:
-            assert oracles.brute_force_is_shelf([list(r) for r in t.entries])
+def test_every_enumerated_table_is_a_shelf(classes3, classes4):
+    classes = enumerate_shelves(1) + enumerate_shelves(2) + classes3 + classes4
+    assert len(classes) == 1 + 6 + 48 + 720
+    for s in classes:
+        assert oracles.brute_force_is_shelf(s.table.entries)
 
 
 def test_enumeration_is_deterministic():

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from shelfhom import snf
 from shelfhom.chain import (
+    F_chain_map,
     basis_index,
     boundary_matrix,
     build_complex,
@@ -213,6 +214,19 @@ def test_huge_coefficients_scale_the_invariant_factors():
     for k in range(1, 5):
         assert snf.smith_normal_form(huge.boundaries[k]).factors == tuple(
             c * f for f in snf.smith_normal_form(unit.boundaries[k]).factors), k
+
+
+def test_builders_read_a_coefficient_iterator_once():
+    # a one-shot iterator of coefficients builds what its tuple builds; each
+    # builder reads it once, not again in each degree or for its length
+    ms = _pair(DIHEDRAL3.table)
+    cx = build_complex(ms, iter((1, -1)), 2)
+    assert cx.coefficients == (1, -1)
+    assert cx.boundaries == build_complex(ms, (1, -1), 2).boundaries
+    assert preset_complex(ms, "multi", 2, iter((1, -1))).boundaries == (
+        preset_complex(ms, "multi", 2, (1, -1)).boundaries)
+    assert F_chain_map(DIHEDRAL3.table, ms, iter((1, -1)), 1) == (
+        F_chain_map(DIHEDRAL3.table, ms, (1, -1), 1))
 
 
 def test_quotient_build_peak_memory_is_bounded():

@@ -26,7 +26,6 @@ from shelfhom.tables import (
     compose_ops,
     identity_op,
     inverse_op,
-    left_normed_product,
     right_trivial_op,
     validate_multishelf,
     validate_shelf,
@@ -212,13 +211,6 @@ def test_projection_commutes_for_all_three_element_shelves(labelled_by_size):
         shelf = Shelf(table)
         for d in (1, 2):
             simplicial_projection_map(shelf, d)  # verifies internally
-
-
-def test_left_normed_product_reference():
-    shelf = boolean_multishelf(1)
-    meet = shelf.ops[1]
-    assert left_normed_product(meet, [1, 1, 0]) == 0
-    assert left_normed_product(meet, [1]) == 1
 
 
 def test_chain_maps_are_pinned(labelled_by_size):

@@ -12,7 +12,7 @@ from shelfhom.chain import (
     preset_homology,
     quandle_quotient_complex,
 )
-from shelfhom.errors import SizeMismatch
+from shelfhom.errors import OutOfRange, SizeMismatch
 from shelfhom.intmat import SparseIntMatrix
 from shelfhom.snf import SmithForm, homology_from_boundaries, smith_normal_form
 from shelfhom.tables import BinaryOpTable, MultiShelf, Shelf, identity_op
@@ -475,6 +475,17 @@ def test_huge_entries_stay_exact():
     assert a.triplets() == [(0, 0, big), (1, 0, 1), (1, 1, -1)]
     assert product == SparseIntMatrix(2, 1, {(1, 0): -1, (0, 0): 2 ** 128})
     assert product != SparseIntMatrix(2, 1, {(0, 0): 2 ** 128 + 1, (1, 0): -1})
+
+
+def test_dict_constructor_refuses_values_that_are_not_ints():
+    # a float would reach the SNF and come out as a float factor, and a bool
+    # is an int subclass that no caller means as a matrix entry
+    for v in (2.0, 1.5, True, "1", None):
+        with pytest.raises(OutOfRange, match=r"entry \(0,1\) is"):
+            SparseIntMatrix(2, 2, {(0, 0): 2, (0, 1): v, (1, 0): 4})
+    big = 2 ** 63 + 1
+    m = SparseIntMatrix(2, 2, {(0, 0): big, (0, 1): 0, (1, 1): -big})
+    assert m.triplets() == [(0, 0, big), (1, 1, -big)]
 
 
 def _dense_product(a, b, ncols):

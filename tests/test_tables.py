@@ -1,10 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from shelfhom.errors import (
     BoundExceeded,
     DistributivityViolation,
-    EmptyList,
     MutualDistributivityViolation,
     NotInvertible,
     OutOfRange,
@@ -18,7 +20,6 @@ from shelfhom.tables import (
     distributive_closure,
     identity_op,
     inverse_op,
-    left_normed_product,
     right_trivial_op,
     suffix_products,
     validate_multishelf,
@@ -146,24 +147,14 @@ def test_inverse_op_rejects_non_bijective_translations():
         inverse_op(BinaryOpTable.from_rows([[0, 0], [0, 1]]))
 
 
-def test_left_normed_product():
-    shelf = validate_shelf(PAPER_4x4)
-    assert left_normed_product(shelf.table, [2]) == 2
-    rt = right_trivial_op(5)
-    assert left_normed_product(rt, [3, 1, 4, 0, 2]) == 2
-    # ((x0*x1)*x2) evaluated directly
-    t = shelf.table.entries
-    assert left_normed_product(shelf, [3, 0, 1]) == t[t[3][0]][1]
-    with pytest.raises(EmptyList):
-        left_normed_product(rt, [])
-
-
-def test_suffix_products_match_left_normed_folds():
-    shelf = validate_shelf(table_mod(3, lambda x, y: (2 * y - x) % 3))
-    xs = (0, 2, 1, 2)
-    suf = suffix_products(shelf.table, xs)
-    for i in range(len(xs)):
-        assert suf[i] == left_normed_product(shelf.table, xs[i:])
+def test_suffix_products_match_left_normed_folds(labelled_by_size):
+    # every labelled 3-element shelf and every tuple of length 1..4
+    for table in labelled_by_size[3]:
+        rows = table.entries
+        for k in range(1, 5):
+            for xs in product(range(3), repeat=k):
+                assert suffix_products(table, xs) == tuple(
+                    oracles.left_normed_fold(rows, xs[i:]) for i in range(k))
 
 
 def test_closure_of_identity_alone():
