@@ -35,7 +35,6 @@ from .errors import (
     SizeMismatch,
 )
 from .intmat import SparseIntMatrix
-from .orbits import is_spindle
 from .snf import homology_from_boundaries
 from .tables import (
     BinaryOpTable,
@@ -43,6 +42,7 @@ from .tables import (
     Shelf,
     compose_ops,
     identity_op,
+    is_spindle,
     suffix_products,
     validate_multishelf,
 )

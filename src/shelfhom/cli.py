@@ -19,8 +19,6 @@ from . import errors
 from .census import CANONICAL_SIZE_LIMIT, canonical_form, enumerate_shelves
 from .chain import DEFAULT_MEMORY_CAP, PRESETS, preset_complex
 from .io import dump_report, finish_report, load_structure, structure_to_doc
-from .orbits import classify, left_orbits, orbit_quotient
-from .simplicial import build_shelf_complex, components, maximal_simplices, simplicial_groups
 from .snf import homology_from_boundaries
 from .tables import MultiShelf, Shelf
 
@@ -131,6 +129,7 @@ def _structure_key(structure) -> list:
 
 
 def cmd_validate(args):
+    from .orbits import classify, left_orbits
     structure = _need_input(args)
     payload = {
         "valid": True,
@@ -145,6 +144,7 @@ def cmd_validate(args):
 
 
 def cmd_orbits(args):
+    from .orbits import left_orbits, orbit_quotient
     shelf = _need_shelf(args)
     blocks = left_orbits(shelf)
     quotient, pi = orbit_quotient(shelf)
@@ -206,6 +206,7 @@ def cmd_homology(args):
 
 
 def cmd_simplicial(args):
+    from .simplicial import build_shelf_complex, components, maximal_simplices, simplicial_groups
     shelf = _need_shelf(args)
     simplices = build_shelf_complex(shelf, args.maxdeg)
     count, labels = components(simplices)
@@ -221,6 +222,7 @@ def cmd_simplicial(args):
 
 
 def cmd_enumerate(args):
+    from .orbits import classify, left_orbits
     classes = [{
         "key": list(shelf.table.flat()),
         "table": [list(row) for row in shelf.table.entries],

@@ -19,11 +19,14 @@ class SparseIntMatrix:
 
     def __init__(self, nrows: int, ncols: int, data=None):
         """From a dict {(row, col): int value}; each column keeps its keys'
-        order.  A value of any other type, bool included, is refused."""
+        order.  An index or value of any other type, bool included, is
+        refused."""
         if nrows < 0 or ncols < 0:
             raise OutOfRange("matrix dimensions must be nonnegative")
         columns = [{} for _ in range(ncols)]
         for (i, j), v in (data or {}).items():
+            if type(i) is not int or type(j) is not int:
+                raise OutOfRange(f"entry ({i!r},{j!r}) has an index that is not an int")
             if not 0 <= i < nrows or not 0 <= j < ncols:
                 raise OutOfRange(f"entry ({i},{j}) outside {nrows}x{ncols}")
             if type(v) is not int:

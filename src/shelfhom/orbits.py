@@ -9,7 +9,7 @@ left connected, and for x*y = g(y) the orbits biject with the image of g.
 
 from __future__ import annotations
 
-from .tables import BinaryOpTable, Shelf, right_trivial_op, validate_shelf
+from .tables import BinaryOpTable, Shelf, is_spindle, right_trivial_op, validate_shelf
 
 
 class UnionFind:
@@ -79,10 +79,6 @@ def orbit_quotient(shelf: Shelf):
     return validate_shelf(quotient_table), pi
 
 
-def is_spindle(table: BinaryOpTable) -> bool:
-    return all(table.entries[x][x] == x for x in range(table.size))
-
-
 def is_invertible(table: BinaryOpTable) -> bool:
     """Every right translation x -> x*y is a bijection."""
     n = table.size
@@ -112,7 +108,6 @@ __all__ = [
     "classify",
     "has_left_absorbing_element",
     "is_invertible",
-    "is_spindle",
     "left_orbits",
     "orbit_quotient",
 ]

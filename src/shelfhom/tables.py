@@ -170,6 +170,11 @@ def validate_multishelf(tables) -> MultiShelf:
     return MultiShelf(ops)
 
 
+def is_spindle(table: BinaryOpTable) -> bool:
+    """Every element is idempotent: x*x = x."""
+    return all(table.entries[x][x] == x for x in range(table.size))
+
+
 def identity_op(n: int) -> BinaryOpTable:
     """The identity of the composition monoid: x*y = x."""
     return BinaryOpTable(tuple((x,) * n for x in range(n)))

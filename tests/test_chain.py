@@ -315,7 +315,7 @@ def _complex_data(cx):
 
 def test_a_shelf_reads_as_its_one_operation_family(classes3):
     from shelfhom.io import structure_to_doc
-    from shelfhom.orbits import is_spindle
+    from shelfhom.tables import is_spindle
 
     assert len(classes3) == 48
     spindles = 0
@@ -419,7 +419,7 @@ def test_quandle_quotient_dimensions():
 
 def test_quandle_quotient_against_dense_oracle(labelled_by_size):
     # all 2- and 3-element spindles, degrees <= 3
-    from shelfhom.orbits import is_spindle
+    from shelfhom.tables import is_spindle
 
     for n in (2, 3):
         for table in labelled_by_size[n]:
@@ -433,7 +433,7 @@ def test_quandle_quotient_against_dense_oracle(labelled_by_size):
 
 
 def test_quandle_quotient_matrices_against_dense_oracle(labelled_by_size):
-    from shelfhom.orbits import is_spindle
+    from shelfhom.tables import is_spindle
 
     cases = [(DIHEDRAL3.table, 8)] + [
         (table, 3) for n in (2, 3) for table in labelled_by_size[n]
@@ -468,7 +468,7 @@ def _multi_spindles(labelled_by_size):
     """(multi-spindle, coefficients, maxdeg): every spindle of size <= 3 as
     (op, identity) under three pairs, and the Boolean multi-spindles under
     seeded coefficients."""
-    from shelfhom.orbits import is_spindle
+    from shelfhom.tables import is_spindle
 
     for n in (1, 2, 3):
         for table in labelled_by_size[n]:
@@ -537,7 +537,7 @@ def test_nondegenerate_prefix_levels_match_the_full_tables(labelled_by_size):
     # tables whose i-tuple repeats no adjacent entry, in ascending q, for
     # every operation with a nonzero coefficient and every face
     import shelfhom.chain as chain
-    from shelfhom.orbits import is_spindle
+    from shelfhom.tables import is_spindle
 
     spindles = [t for n in (1, 2, 3) for t in labelled_by_size[n] if is_spindle(t)]
     assert {t.size for t in spindles} == {1, 2, 3}
@@ -605,7 +605,7 @@ def test_degenerate_check_names_the_least_leaking_tuple(monkeypatch, labelled_by
     # leaks exactly when its column (3x + x in d_1) is nonzero; the check
     # must name the least such tuple, which the oracle finds column by column
     import shelfhom.chain as chain
-    from shelfhom.orbits import is_spindle
+    from shelfhom.tables import is_spindle
 
     identity = [[x] * 3 for x in range(3)]
     non_spindles = [t for t in labelled_by_size[3] if not is_spindle(t)]
@@ -691,7 +691,8 @@ def test_rack_and_quandle_groups_follow_the_inner_group(classes3, classes4):
     # generate: rank H^R_d = o^(d+1) (Etingof-Grana), rank H^Q_d = o(o-1)^d
     # (Litherland-Nelson), and every torsion prime divides |Inn X|
     from shelfhom.census import enumerate_shelves
-    from shelfhom.orbits import is_invertible, is_spindle
+    from shelfhom.orbits import is_invertible
+    from shelfhom.tables import is_spindle
 
     classes = enumerate_shelves(1) + enumerate_shelves(2) + classes3 + classes4
     cases = [(s.table, 3 if s.size <= 3 else 2) for s in classes
@@ -716,7 +717,7 @@ def test_rack_and_quandle_groups_follow_the_inner_group(classes3, classes4):
 
 def _random_multishelves(rng, labelled_by_size, count):
     """Validated multi-shelves over small carriers with random coefficients."""
-    from shelfhom.orbits import is_spindle
+    from shelfhom.tables import is_spindle
 
     pool = []
     for n in (1, 2, 3):

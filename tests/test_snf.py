@@ -488,6 +488,14 @@ def test_dict_constructor_refuses_values_that_are_not_ints():
     assert m.triplets() == [(0, 0, big), (1, 1, -big)]
 
 
+def test_dict_constructor_refuses_indices_that_are_not_ints():
+    # a float index passed the range test and failed in array('q'), a string
+    # one failed the range test itself, and True was stored as row 1
+    for key in ((0.0, 1), ("0", 1), (True, 1), (1, 1.0)):
+        with pytest.raises(OutOfRange, match=r"has an index that is not an int"):
+            SparseIntMatrix(2, 2, {(0, 0): 2, key: 1})
+
+
 def _dense_product(a, b, ncols):
     # the textbook triple loop on dense rows; shares no code with matmul
     return [[sum(row[j] * b[j][k] for j in range(len(b))) for k in range(ncols)]
